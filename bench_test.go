@@ -346,12 +346,11 @@ func BenchmarkPostRemeshSolve_Warm(b *testing.B) { benchPostRemeshSolve(b, true)
 func BenchmarkPostRemeshSolve_Cold(b *testing.B) { benchPostRemeshSolve(b, false) }
 
 // ---------------------------------------------------------------------------
-// Assembly persistence — cold (first assembly: COO-map sparsity build +
-// freeze + scatter-plan construction) versus warm (plan-driven
-// reassembly on the frozen pattern), per Table I layout. The warm path
-// is the steady-state cost a time-stepping simulation pays every step;
-// it must be allocation-free (-benchmem) and a small multiple faster
-// than cold.
+// Assembly persistence — cold (plan built from the mesh connectivity,
+// then the first assembly) versus warm (reassembly on the frozen
+// pattern), per Table I layout. The warm path is the steady-state cost a
+// time-stepping simulation pays every step; it must be allocation-free
+// (-benchmem) and a small multiple faster than cold.
 // ---------------------------------------------------------------------------
 
 func benchAssemblyPlan(b *testing.B, layout fem.Layout, warm bool) {
@@ -362,7 +361,7 @@ func benchAssemblyPlan(b *testing.B, layout fem.Layout, warm bool) {
 		m := mesh.New(c, 3, local)
 		const ndof = 2
 		asm := fem.NewAssembler(m, ndof)
-		asm.SetWorkers(1) // allocs/op must reflect the element loop alone
+		asm.SetWorkers(1) // allocs/op must reflect the assembly alone
 		r := asm.Ref
 		npe := r.NPE
 		tmp := make([]float64, npe*npe)
@@ -395,11 +394,10 @@ func benchAssemblyPlan(b *testing.B, layout fem.Layout, warm bool) {
 		b.ReportMetric(float64(m.NumElems()), "elements")
 		b.ReportAllocs()
 		if warm {
-			mat := fem.NewMatrix(m, ndof, layout)
-			assemble(mat) // cold: builds sparsity and plan
+			mat := asm.NewMatrix(layout) // builds sparsity and plan
+			assemble(mat)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mat.Zero()
 				assemble(mat)
 			}
 			return
@@ -407,10 +405,10 @@ func benchAssemblyPlan(b *testing.B, layout fem.Layout, warm bool) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// A fresh epoch drops the cached plan, so every iteration pays
-			// the full first-assembly cost (map build + freeze + plan).
+			// the full first-assembly cost (plan from connectivity +
+			// assembly).
 			asm.SetEpoch(uint64(i + 1))
-			mat := fem.NewMatrix(m, ndof, layout)
-			assemble(mat)
+			assemble(asm.NewMatrix(layout))
 		}
 	})
 }
@@ -423,14 +421,13 @@ func BenchmarkAssemblyWarm_BAIJ(b *testing.B)   { benchAssemblyPlan(b, fem.Layou
 func BenchmarkAssemblyWarm_Zipped(b *testing.B) { benchAssemblyPlan(b, fem.LayoutZipped, true) }
 
 // ---------------------------------------------------------------------------
-// Vector assembly sharding — the Table I "Vec" columns (PR 5): the serial
-// AssembleVector element loop versus the planned store-and-gather path,
-// which shards the element loop and the per-node gather across the worker
-// pool while staying bitwise identical to serial (canonical gather order)
-// and allocation-free when warm.
+// Vector assembly sharding — the Table I "Vec" columns: the planned
+// store-and-gather path on one shard versus sharded across the worker
+// pool (the element loop and the per-node gather), bitwise identical at
+// any shard count (canonical gather order) and allocation-free when warm.
 // ---------------------------------------------------------------------------
 
-func benchVectorAssembly(b *testing.B, planned bool, workers int) {
+func benchVectorAssembly(b *testing.B, workers int) {
 	par.Run(1, func(c *par.Comm) {
 		tree := interfaceTree(3, 2, 4)
 		local := make([]sfc.Octant, tree.Len())
@@ -471,28 +468,20 @@ func benchVectorAssembly(b *testing.B, planned bool, workers int) {
 		v := m.NewVec(ndof)
 		b.ReportMetric(float64(m.NumElems()), "elements")
 		b.ReportAllocs()
-		if planned {
-			asm.SetWorkers(workers)
-			pool := par.NewPool(workers)
-			defer pool.Close()
-			asm.SetPool(pool)
-			asm.AssembleVectorPlanned(v, kern) // cold: builds the vector plan
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				asm.AssembleVectorPlanned(v, kern)
-			}
-			return
-		}
-		serial := func(e int, h float64, fe []float64) { kern(0, e, h, fe) }
+		asm.SetWorkers(workers)
+		pool := par.NewPool(workers)
+		defer pool.Close()
+		asm.SetPool(pool)
+		asm.AssembleVectorPlanned(v, kern) // cold: builds the vector plan
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			asm.AssembleVector(v, serial)
+			asm.AssembleVectorPlanned(v, kern)
 		}
 	})
 }
 
-func BenchmarkVectorAssemblySerial(b *testing.B)  { benchVectorAssembly(b, false, 1) }
-func BenchmarkVectorAssemblyPlanned(b *testing.B) { benchVectorAssembly(b, true, runtimeWorkers()) }
+func BenchmarkVectorAssemblySerial(b *testing.B)  { benchVectorAssembly(b, 1) }
+func BenchmarkVectorAssemblyPlanned(b *testing.B) { benchVectorAssembly(b, runtimeWorkers()) }
 
 // ---------------------------------------------------------------------------
 // Solve persistence — the Table I "Solve" column treatment (PR 2): warm

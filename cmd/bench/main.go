@@ -30,14 +30,13 @@ import (
 // runRecord is one sweep point: the configuration axes plus the full
 // stats payload the run produced.
 type runRecord struct {
-	Case       string        `json:"case"`
-	Preset     string        `json:"preset"`
-	Ranks      int           `json:"ranks"`
-	VecWorkers int           `json:"vec_workers"`
-	PC         string        `json:"pc"`
-	Steps      int           `json:"steps"`
-	WallMS     float64       `json:"wall_ms"`
-	Stats      core.RunStats `json:"stats"`
+	Case   string        `json:"case"`
+	Preset string        `json:"preset"`
+	Ranks  int           `json:"ranks"`
+	PC     string        `json:"pc"`
+	Steps  int           `json:"steps"`
+	WallMS float64       `json:"wall_ms"`
+	Stats  core.RunStats `json:"stats"`
 }
 
 // gobenchRecord is one parsed `go test -bench` result line: the
@@ -86,7 +85,6 @@ func main() {
 	cases := flag.String("cases", "bubble", "comma-separated scenario names")
 	presets := flag.String("presets", "smoke", "comma-separated presets (smoke,bench,full)")
 	ranksList := flag.String("ranks", "1", "comma-separated rank counts")
-	vecWorkers := flag.String("vec-workers", "0", "comma-separated vector-shard worker counts (0: auto)")
 	pcs := flag.String("pcs", "bjacobi", "comma-separated NS/PP preconditioners (bjacobi,jacobi,gmg)")
 	steps := flag.Int("steps", 3, "time steps per sweep point")
 	gobench := flag.String("gobench", "", "also run `go test -bench <regexp>` on the root package and record its metrics")
@@ -98,10 +96,6 @@ func main() {
 	flag.Parse()
 
 	ranks, err := splitInts(*ranksList)
-	if err != nil {
-		fatal(err)
-	}
-	workers, err := splitInts(*vecWorkers)
 	if err != nil {
 		fatal(err)
 	}
@@ -131,17 +125,15 @@ func main() {
 		sc, _ := scenario.Get(name)
 		for _, pr := range prs {
 			for _, r := range ranks {
-				for _, nw := range workers {
-					for _, pc := range splitCSV(*pcs) {
-						rec, err := runOne(sc, pr, r, nw, pc, *steps)
-						if err != nil {
-							fatal(fmt.Errorf("%s/%s ranks=%d vw=%d pc=%s: %v", name, pr, r, nw, pc, err))
-						}
-						file.Runs = append(file.Runs, rec)
-						fmt.Printf("%-10s %-6s ranks=%d vw=%d pc=%-8s wall=%8.1fms  ns-its=%.2f pp-its=%.2f\n",
-							name, pr, r, nw, pc, rec.WallMS,
-							rec.Stats.KrylovIters["ns"].Mean, rec.Stats.KrylovIters["pp"].Mean)
+				for _, pc := range splitCSV(*pcs) {
+					rec, err := runOne(sc, pr, r, pc, *steps)
+					if err != nil {
+						fatal(fmt.Errorf("%s/%s ranks=%d pc=%s: %v", name, pr, r, pc, err))
 					}
+					file.Runs = append(file.Runs, rec)
+					fmt.Printf("%-10s %-6s ranks=%d pc=%-8s wall=%8.1fms  ns-its=%.2f pp-its=%.2f\n",
+						name, pr, r, pc, rec.WallMS,
+						rec.Stats.KrylovIters["ns"].Mean, rec.Stats.KrylovIters["pp"].Mean)
 				}
 			}
 		}
@@ -173,16 +165,16 @@ func main() {
 // runKey identifies a sweep point across bench files for baseline
 // matching.
 type runKey struct {
-	Case, Preset, PC         string
-	Ranks, VecWorkers, Steps int
+	Case, Preset, PC string
+	Ranks, Steps     int
 }
 
 func (r runRecord) key() runKey {
-	return runKey{Case: r.Case, Preset: r.Preset, PC: r.PC, Ranks: r.Ranks, VecWorkers: r.VecWorkers, Steps: r.Steps}
+	return runKey{Case: r.Case, Preset: r.Preset, PC: r.PC, Ranks: r.Ranks, Steps: r.Steps}
 }
 
 func (k runKey) String() string {
-	return fmt.Sprintf("%s/%s ranks=%d vw=%d pc=%s steps=%d", k.Case, k.Preset, k.Ranks, k.VecWorkers, k.PC, k.Steps)
+	return fmt.Sprintf("%s/%s ranks=%d pc=%s steps=%d", k.Case, k.Preset, k.Ranks, k.PC, k.Steps)
 }
 
 // checkBaseline is the regression gate: every sweep point present in
@@ -255,7 +247,7 @@ func checkBaseline(cur benchFile, path string, tol, wallFloor, iterTol float64) 
 // runOne executes a single sweep point and returns its record. Any
 // panic inside the rank group (a diverged stage, a bad config) is
 // surfaced as an error rather than killing the whole sweep harness.
-func runOne(sc scenario.Scenario, pr scenario.Preset, ranks, nw int, pc string, steps int) (rec runRecord, err error) {
+func runOne(sc scenario.Scenario, pr scenario.Preset, ranks int, pc string, steps int) (rec runRecord, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("%v", p)
@@ -263,10 +255,7 @@ func runOne(sc scenario.Scenario, pr scenario.Preset, ranks, nw int, pc string, 
 	}()
 	spec := sc.Build(pr)
 	spec.Config.Opt.PCNS, spec.Config.Opt.PCPP = pc, pc
-	if nw > 0 {
-		spec.Config.Opt.VecWorkers = nw
-	}
-	rec = runRecord{Case: sc.Name, Preset: string(pr), Ranks: ranks, VecWorkers: nw, PC: pc, Steps: steps}
+	rec = runRecord{Case: sc.Name, Preset: string(pr), Ranks: ranks, PC: pc, Steps: steps}
 	par.Run(ranks, func(c *par.Comm) {
 		sim := sc.NewFromSpec(c, pr, spec)
 		res, rerr := sim.RunUntil(core.RunOptions{Steps: steps})

@@ -229,12 +229,10 @@ func (p *chProblem) Jacobian(x []float64) (la.Operator, la.PC) {
 	s := p.s
 	t0 := time.Now()
 	s.M.GhostRead(x, 2)
-	// Persistent operator: allocated once per mesh, Zero()+reassembled on
-	// every Newton iteration and time step thereafter (warm plan path).
+	// Persistent operator: allocated once per mesh, reassembled in place
+	// on every Newton iteration and time step thereafter.
 	if s.chMat == nil {
 		s.chMat = s.asmCH.NewMatrix(s.Opt.Layout)
-	} else {
-		s.chMat.Zero()
 	}
 	mat := s.chMat
 	s.kCHx = x
@@ -333,26 +331,25 @@ func (s *Solver) InitMuFromPhi() error {
 	r := s.asmS.Ref
 	npe := r.NPE
 	rhs := m.NewVec(1)
-	pm := make([]float64, npe*2)
-	phiC := make([]float64, npe)
-	psi1 := make([]float64, npe)
-	ke := make([]float64, npe*npe)
-	tmp := make([]float64, npe)
-	s.asmS.AssembleVector(rhs, func(e int, h float64, fe []float64) {
-		m.GatherElem(e, s.PhiMu, 2, pm)
+	type scratch struct{ pm, phiC, psi1, ke, tmp []float64 }
+	ws := make([]scratch, s.asmS.Workers())
+	for i := range ws {
+		ws[i] = scratch{make([]float64, npe*2), make([]float64, npe), make([]float64, npe), make([]float64, npe*npe), make([]float64, npe)}
+	}
+	s.asmS.AssembleVectorPlanned(rhs, func(w, e int, h float64, fe []float64) {
+		sc := &ws[w]
+		m.GatherElem(e, s.PhiMu, 2, sc.pm)
 		for a := 0; a < npe; a++ {
-			phiC[a] = pm[a*2]
-			psi1[a] = PsiPrime(phiC[a])
+			sc.phiC[a] = sc.pm[a*2]
+			sc.psi1[a] = PsiPrime(sc.phiC[a])
 		}
-		r.LoadVector(h, psi1, 1, fe)
-		for i := range ke {
-			ke[i] = 0
-		}
-		r.Stiffness(h, 1, ke)
+		r.LoadVector(h, sc.psi1, 1, fe)
+		clear(sc.ke)
+		r.Stiffness(h, 1, sc.ke)
 		cn := s.ElemCn[e]
-		blas.Dgemv(npe, npe, cn*cn, ke, phiC, 0, tmp)
+		blas.Dgemv(npe, npe, cn*cn, sc.ke, sc.phiC, 0, sc.tmp)
 		for a := 0; a < npe; a++ {
-			fe[a] += tmp[a]
+			fe[a] += sc.tmp[a]
 		}
 	})
 	// The scalar mass operator and its solver persist on the Solver like

@@ -3,6 +3,7 @@ package chns
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"proteus/internal/fem"
@@ -376,27 +377,35 @@ func TestLocalCahnFieldUsedPerElement(t *testing.T) {
 	}
 }
 
-// TestStepBitwiseAcrossVecWorkers pins the sharded-RHS contract at the
+// TestStepBitwiseAcrossWorkers pins the sharded-assembly contract at the
 // solver level: a full CH+NS+PP+VU step is bitwise identical for any
-// vector-assembly shard count (the planned gather sums contributions in
-// canonical order, and every stage kernel keeps per-worker scratch), so
-// Options.VecWorkers is a pure performance knob.
-func TestStepBitwiseAcrossVecWorkers(t *testing.T) {
-	run := func(vecWorkers, ranks int) map[mesh.NodeKey][2]float64 {
+// element-loop shard count (the matrix and vector gathers sum every entry
+// in canonical traversal order, and every stage kernel keeps per-worker
+// scratch).
+func TestStepBitwiseAcrossWorkers(t *testing.T) {
+	checkStepBitwiseAcrossWorkers(t, DefaultOptions(2e-3))
+}
+
+// checkStepBitwiseAcrossWorkers runs one step at 1 and 2 ranks under
+// GOMAXPROCS 1, 2 and 4 — the solver's assemblers take GOMAXPROCS/ranks
+// shards — and requires every result to equal the one-shard run bitwise.
+func checkStepBitwiseAcrossWorkers(t *testing.T, opt Options) {
+	run := func(procs, ranks int) map[mesh.NodeKey][2]float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		out := map[mesh.NodeKey][2]float64{}
 		par.Run(ranks, func(c *par.Comm) {
 			m := uniformMesh(c, 2, 3)
-			par2 := DefaultParams()
-			par2.Cn = 0.1
-			par2.Fr = 1
-			opt := DefaultOptions(2e-3)
-			opt.VecWorkers = vecWorkers
-			s := NewSolver(m, par2, opt)
+			prm := DefaultParams()
+			prm.Cn = 0.1
+			prm.Fr = 1
+			s := NewSolver(m, prm, opt)
 			s.SetPhi(func(x, y, z float64) float64 {
-				return EquilibriumProfile(0.2-math.Hypot(x-0.5, y-0.45), par2.Cn)
+				return EquilibriumProfile(0.2-math.Hypot(x-0.5, y-0.45), prm.Cn)
 			})
 			s.InitMuFromPhi()
-			s.Step()
+			if _, err := s.Step(); err != nil {
+				panic(err)
+			}
 			type kv struct {
 				K mesh.NodeKey
 				V [2]float64
@@ -416,14 +425,14 @@ func TestStepBitwiseAcrossVecWorkers(t *testing.T) {
 	}
 	for _, ranks := range []int{1, 2} {
 		base := run(1, ranks)
-		for _, nw := range []int{2, 4} {
-			got := run(nw, ranks)
+		for _, procs := range []int{2, 4} {
+			got := run(procs, ranks)
 			if len(got) != len(base) {
-				t.Fatalf("ranks=%d nw=%d: node sets differ", ranks, nw)
+				t.Fatalf("ranks=%d GOMAXPROCS=%d: node sets differ", ranks, procs)
 			}
 			for k, v := range base {
 				if got[k] != v {
-					t.Fatalf("ranks=%d nw=%d node %v: serial %v sharded %v", ranks, nw, k, v, got[k])
+					t.Fatalf("ranks=%d GOMAXPROCS=%d node %v: one shard %v sharded %v (not bitwise)", ranks, procs, k, v, got[k])
 				}
 			}
 		}

@@ -89,12 +89,10 @@ func (s *Solver) StepNS() (StageReport, error) {
 	// Matrix: same scalar operator on each velocity component (the
 	// viscous cross-coupling is lumped into the component Laplacian).
 	// The operator matrix persists across steps: allocated once per mesh,
-	// Zero()+reassembled thereafter through the warm assembly plan.
+	// reassembled in place thereafter.
 	tMat := time.Now()
 	if s.nsMat == nil {
 		s.nsMat = s.asmVel.NewMatrix(s.Opt.Layout)
-	} else {
-		s.nsMat.Zero()
 	}
 	mat := s.nsMat
 	if s.Opt.Layout == fem.LayoutZipped {

@@ -50,13 +50,11 @@ func (s *Solver) StepPP() ([]float64, StageReport, error) {
 	m.GhostRead(s.PhiMu, 2)
 	m.GhostRead(s.Vel, dim)
 
-	// Persistent operator: allocated once per mesh, Zero()+reassembled
-	// through the warm plan on later steps.
+	// Persistent operator: allocated once per mesh, reassembled in place
+	// on later steps.
 	tMat := time.Now()
 	if s.ppMat == nil {
 		s.ppMat = s.asmS.NewMatrix(s.Opt.Layout)
-	} else {
-		s.ppMat.Zero()
 	}
 	mat := s.ppMat
 	if s.Opt.Layout == fem.LayoutZipped {

@@ -187,12 +187,6 @@ type Options struct {
 	LinTol float64
 	// NonlinTol is the Newton tolerance (paper: 1e-10).
 	NonlinTol float64
-	// VecWorkers pins the shard count of the planned RHS/residual vector
-	// assemblies (0: match the matrix element loop; 1: the serial
-	// ablation). Any value produces bitwise-identical results — the
-	// vector plan gathers contributions in canonical order — so this is
-	// purely a performance knob.
-	VecWorkers int
 	// PCNS / PCPP select the NS / PP preconditioner (Table II column):
 	// "bjacobi" (default, rank-block ILU(0)), "jacobi", or "gmg" — the
 	// octree geometric multigrid V-cycle of internal/mg, whose mesh
@@ -265,7 +259,7 @@ type Solver struct {
 	pool *par.Pool
 
 	// Persistent operators: each stage allocates its matrix once (sharing
-	// the frozen sparsity of its assembler's plan) and Zero()+reassembles
+	// the frozen sparsity of its assembler's plan) and reassembles in place
 	// thereafter, so steady-state time stepping performs no sparsity
 	// construction. Invalidated by SetMeshEpoch on remesh.
 	chMat      *la.BSRMat
@@ -403,17 +397,16 @@ func NewSolver(m *mesh.Mesh, prm Params, opt Options) *Solver {
 	s.asmCH = fem.NewAssembler(m, 2)
 	s.asmVel = fem.NewAssembler(m, m.Dim)
 	s.asmS = fem.NewAssembler(m, 1)
+	// The stage assemblers run one at a time, so they share one
+	// contribution store.
+	s.asmVel.ShareStore(s.asmCH)
+	s.asmS.ShareStore(s.asmCH)
 	// One worker pool for the whole solver: assembly shards, SpMV and the
 	// Krylov vector kernels all run on it.
 	s.pool = par.NewPool(s.asmCH.Workers())
 	s.asmCH.SetPool(s.pool)
 	s.asmVel.SetPool(s.pool)
 	s.asmS.SetPool(s.pool)
-	if opt.VecWorkers > 0 {
-		s.asmCH.SetVecWorkers(opt.VecWorkers)
-		s.asmVel.SetVecWorkers(opt.VecWorkers)
-		s.asmS.SetVecWorkers(opt.VecWorkers)
-	}
 	s.initScratch()
 	s.initFiniteScan()
 	s.initCHKernels()
@@ -438,43 +431,34 @@ func (s *Solver) initScratch() {
 	npe := s.asmCH.Ref.NPE
 	ng := s.asmCH.Ref.NG
 	dim := s.M.Dim
-	// Each scratch pool is sized for the assembler(s) whose shards index
-	// it, max'd with Opt.VecWorkers: an explicit vector shard count can
-	// push past the matrix worker count.
-	nw := func(asms ...*fem.Assembler) int {
-		n := s.Opt.VecWorkers
-		for _, a := range asms {
-			if w := a.Workers(); w > n {
-				n = w
-			}
-		}
-		return n
-	}
-	s.chRes = make([]*chResScratch, nw(s.asmCH))
+	// The stage assemblers share one shard count, so every kernel scratch
+	// pool has one entry per worker.
+	nw := s.asmCH.Workers()
+	s.chRes = make([]*chResScratch, nw)
 	for i := range s.chRes {
 		s.chRes[i] = newCHResScratch(npe, ng, dim)
 	}
-	s.chScr = make([]chScratch, s.asmCH.Workers())
+	s.chScr = make([]chScratch, nw)
 	for i := range s.chScr {
 		s.chScr[i] = newCHScratch(npe, ng, dim)
 	}
-	s.nsScr = make([]nsScratch, s.asmVel.Workers())
+	s.nsScr = make([]nsScratch, nw)
 	for i := range s.nsScr {
 		s.nsScr[i] = newNSScratch(npe, ng, dim)
 	}
-	s.nsVec = make([]nsVecScratch, nw(s.asmVel))
+	s.nsVec = make([]nsVecScratch, nw)
 	for i := range s.nsVec {
 		s.nsVec[i] = newNSVecScratch(npe, dim)
 	}
-	s.ppScr = make([]ppScratch, nw(s.asmS))
+	s.ppScr = make([]ppScratch, nw)
 	for i := range s.ppScr {
 		s.ppScr[i] = newPPScratch(npe, ng, dim)
 	}
-	s.vuScr = make([][]float64, s.asmVel.Workers())
+	s.vuScr = make([][]float64, nw)
 	for i := range s.vuScr {
 		s.vuScr[i] = make([]float64, npe*npe)
 	}
-	s.vuVec = make([]vuScratch, nw(s.asmS, s.asmVel))
+	s.vuVec = make([]vuScratch, nw)
 	for i := range s.vuVec {
 		s.vuVec[i] = newVUScratch(npe, dim)
 	}
@@ -486,8 +470,8 @@ func (s *Solver) initScratch() {
 
 // SetMeshEpoch declares the mesh generation this solver runs on. A change
 // (core increments its counter on every remesh) drops the persistent
-// operators and every cached assembly plan, forcing the next assembly of
-// each stage through the cold sparsity-building path.
+// operators and every cached assembly plan, so the next step of each stage
+// rebuilds its plan from the new mesh's connectivity.
 func (s *Solver) SetMeshEpoch(e uint64) {
 	if e == s.meshEpoch {
 		return
@@ -571,7 +555,7 @@ func (s *Solver) Rebind(m *mesh.Mesh, epoch uint64) {
 // (mesh.Patch). It drops the per-step vectors and operator values Rebind
 // drops, but repairs what the mesh delta proves survived: each stage
 // assembler's frozen sparsity and assembly plans are patched in place of
-// cold rebuilds (fem.RebindPatched); the stage ILU(0)/Jacobi
+// from-scratch builds (fem.RebindPatched); the stage ILU(0)/Jacobi
 // preconditioners are kept and flagged so their first post-remesh setup
 // carries the factorization index of every pattern-preserved row instead
 // of rebuilding it (la.RowPatch); and the previous multigrid ladder is

@@ -146,8 +146,6 @@ func (s *Solver) StepVU(psi []float64) (StageReport, error) {
 		tMat := time.Now()
 		if s.vuBlockMat == nil {
 			s.vuBlockMat = s.asmVel.NewMatrix(lay)
-		} else {
-			s.vuBlockMat.Zero()
 		}
 		mat := s.vuBlockMat
 		s.asmVel.AssembleMatrix(mat, lay, s.kVUBlockMat)

@@ -9,6 +9,7 @@ package dsort
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"proteus/internal/par"
@@ -217,7 +218,9 @@ func subgroupSize(p, gsz, g int) int {
 func flatSort[T any](c *par.Comm, local []T, less func(a, b T) bool, opt Options) []T {
 	p := c.Size()
 	samples := decimate(local, opt.oversample())
-	all := par.Allgatherv(c, samples)
+	// The gathered slice is shared by reference between the in-process
+	// ranks, so each rank sorts its own copy.
+	all := slices.Clone(par.Allgatherv(c, samples))
 	sort.SliceStable(all, func(i, j int) bool { return less(all[i], all[j]) })
 	splitters := make([]T, 0, p-1)
 	for i := 1; i < p; i++ {

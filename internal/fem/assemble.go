@@ -1,9 +1,7 @@
 package fem
 
 import (
-	"fmt"
 	"runtime"
-	"sort"
 
 	"proteus/internal/la"
 	"proteus/internal/mesh"
@@ -14,8 +12,7 @@ import (
 // node-major layout: Ke[(a*ndof+di)*(npe*ndof) + b*ndof+dj]. The worker
 // index w names the element-loop shard invoking the kernel: kernels with
 // mutable scratch must keep one copy per worker (index it by w, sized by
-// Assembler.Workers) so the sharded loop stays race-free. Serial callers
-// always see w == 0.
+// Assembler.Workers) so the sharded loop stays race-free.
 type NodeMajorKernel func(w, e int, h float64, ke []float64)
 
 // ZippedKernel fills dof-pair-major blocks for element e:
@@ -32,8 +29,6 @@ type offProc struct {
 	V        [16]float64
 }
 
-const tagOffProc = 103
-
 // Layout selects the storage/assembly strategy of Table I.
 type Layout int
 
@@ -49,86 +44,58 @@ const (
 	LayoutZipped
 )
 
-// planIdx maps a layout to its plan cache slot: BAIJ and zipped assembly
-// share the node-block sparsity (the zipped path only changes how the
-// elemental block is produced), so they share one plan.
-func planIdx(layout Layout) int {
-	if layout == LayoutAIJ {
-		return 0
-	}
-	return 1
-}
-
-// NewMatrix allocates an empty matrix matching the layout: scalar AIJ for
-// the baseline, BAIJ otherwise. The first assembly into it builds the
-// sparsity through the COO map; prefer Assembler.NewMatrix once an
-// assembler exists so the frozen pattern is shared.
-func NewMatrix(m *mesh.Mesh, ndof int, layout Layout) *la.BSRMat {
-	if layout == LayoutAIJ {
-		return la.NewAIJ(m, ndof, m.NumOwned, m.NumLocal)
-	}
-	return la.NewBAIJ(m, ndof, m.NumOwned, m.NumLocal)
-}
-
-// workerScratch is one element-loop shard's private state, so the
-// parallel loop runs with zero shared mutable scratch and zero
-// per-element allocation.
+// workerScratch is one element-loop shard's private scratch for the
+// zipped kernels (node-major kernels write the contribution store
+// directly), so the parallel loop runs with zero shared mutable scratch
+// and zero per-element allocation.
 type workerScratch struct {
-	ke     []float64
 	blocks [][]float64
-	blk    []float64
 	wk     *GemmWork
-	vals   []float64 // accumulation buffer for workers > 0
-	fe     []float64 // elemental vector (planned vector assembly)
-	fz     []float64 // zipped elemental vector (planned vector assembly)
+	fz     []float64
 }
 
 // Assembler drives distributed matrix and vector assembly over a mesh.
-// It owns the per-(mesh, ndof) assembly plans: the first assembly of a
-// layout runs the COO-map path and freezes the sparsity; every later
-// assembly with the same pattern is plan-driven flat-array accumulation.
+// Every assembly is plan-driven: the matrix AssemblyPlan and the VecPlan
+// are built from the mesh connectivity once per mesh generation. Each
+// assembly runs a sharded element loop into the plan's contribution store
+// and then a sharded gather that sums every entry in serial traversal
+// order, so results are bitwise identical at any shard count.
 type Assembler struct {
 	M    *mesh.Mesh
 	Ref  *Ref
 	Ndof int
 
-	// workers is the element-loop shard count for plan-driven matrix
-	// assembly (default: GOMAXPROCS divided among the in-process ranks).
+	// workers is the element-loop shard count (default: GOMAXPROCS
+	// divided among the in-process ranks).
 	workers int
 	ws      []workerScratch
 
-	// pool, when set, runs the element-loop shards and the merge on a
-	// persistent worker pool instead of spawning goroutines per assembly
-	// — the same pool the solve-path kernels dispatch to. The sh* fields
-	// are the prebuilt shard closures and their argument slots, so the
-	// pool dispatch itself allocates nothing per assembly.
-	pool            *par.Pool
-	elemFn, mergeFn func(w int)
-	shVals          []float64
-	shPlan          *AssemblyPlan
-	shKern          NodeMajorKernel
-	shZKern         ZippedKernel
-	shN, shNW       int
-
-	// Planned vector assembly: the cached vector plan, an optional shard
-	// count override (0: follow workers) and the prebuilt shard closures
-	// with their argument slots (see vecplan.go).
-	vplan                  *VecPlan
-	vecWorkers             int
+	// pool, when set, runs the shards on a persistent worker pool instead
+	// of spawning goroutines per assembly — the same pool the solve-path
+	// kernels dispatch to. The *Fn fields are the prebuilt shard closures
+	// and the sh* fields their argument slots, so the dispatch itself
+	// allocates nothing per assembly.
+	pool                   *par.Pool
+	matElemFn, matGatherFn func(w int)
 	vecElemFn, vecGatherFn func(w int)
-	shVec                  []float64
+	shNW                   int
+	shKern                 NodeMajorKernel
+	shZKern                ZippedKernel
+	shVals                 []float64
+	shScalar               bool
 	shVKern                WorkerVecKernel
 	shVZKern               WorkerZippedVecKernel
-	shVN, shVNW            int
-	shVLo, shVHi           int
+	shVec                  []float64
+	shLo, shHi             int
+	shStore                []float64
 
-	// off is the reusable off-process contribution buffer of the cold
-	// path (preallocated per-destination slices, reset between calls).
-	off *offProcBuf
+	// store is the contribution store: one elemental matrix or vector per
+	// element, rewritten by every assembly. Assemblers that never assemble
+	// concurrently may share one (see ShareStore).
+	store *[]float64
 
-	// plans[0] is the scalar AIJ plan, plans[1] the node-block plan
-	// shared by BAIJ and zipped assembly.
-	plans [2]*AssemblyPlan
+	plan  *AssemblyPlan
+	vplan *VecPlan
 
 	// epoch tags the mesh generation the plans were built for; see
 	// SetEpoch.
@@ -137,17 +104,12 @@ type Assembler struct {
 
 // NewAssembler builds an assembler for ndof unknowns per node.
 func NewAssembler(m *mesh.Mesh, ndof int) *Assembler {
-	r := NewRef(m.Dim)
 	if ndof > 4 {
 		panic("fem: ndof > 4 unsupported by off-process block buffer")
 	}
-	a := &Assembler{M: m, Ref: r, Ndof: ndof}
-	a.workers = runtime.GOMAXPROCS(0) / m.Comm.Size()
-	if a.workers < 1 {
-		a.workers = 1
-	}
+	a := &Assembler{M: m, Ref: NewRef(m.Dim), Ndof: ndof, store: new([]float64)}
+	a.workers = max(1, runtime.GOMAXPROCS(0)/m.Comm.Size())
 	a.ensureWorkers(1)
-	a.off = newOffProcBuf()
 	return a
 }
 
@@ -155,14 +117,7 @@ func NewAssembler(m *mesh.Mesh, ndof int) *Assembler {
 func (a *Assembler) ensureWorkers(n int) {
 	for len(a.ws) < n {
 		npe := a.Ref.NPE
-		nn := npe * a.Ndof
-		s := workerScratch{
-			ke:  make([]float64, nn*nn),
-			blk: make([]float64, a.Ndof*a.Ndof),
-			wk:  NewGemmWork(a.Ref),
-			fe:  make([]float64, nn),
-			fz:  make([]float64, nn),
-		}
+		s := workerScratch{wk: NewGemmWork(a.Ref), fz: make([]float64, npe*a.Ndof)}
 		s.blocks = make([][]float64, a.Ndof*a.Ndof)
 		for j := range s.blocks {
 			s.blocks[j] = make([]float64, npe*npe)
@@ -175,24 +130,27 @@ func (a *Assembler) ensureWorkers(n int) {
 // per-worker scratch for.
 func (a *Assembler) Workers() int { return a.workers }
 
-// SetWorkers overrides the element-loop shard count (n >= 1). Workers
-// change the order of floating-point accumulation between shards, so
-// reproducibility-sensitive callers pin n = 1.
-func (a *Assembler) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	a.workers = n
-}
+// SetWorkers overrides the element-loop shard count (n >= 1). Results do
+// not depend on it: the gather sums every entry in serial traversal order.
+func (a *Assembler) SetWorkers(n int) { a.workers = max(1, n) }
 
-// SetPool runs warm assemblies on the given persistent pool (sharing its
+// SetPool runs assemblies on the given persistent pool (sharing its
 // workers with the solve-path kernels) instead of spawning goroutines per
-// call. The shard count stays min(Workers(), pool.Workers()), so results
-// are unchanged.
+// call. The shard count becomes min(Workers(), pool.Workers()).
 func (a *Assembler) SetPool(p *par.Pool) { a.pool = p }
 
-// Work returns worker 0's GEMM scratch (for serial zipped kernels).
-func (a *Assembler) Work() *GemmWork { return a.WorkN(0) }
+// ShareStore makes a use b's contribution store. The store is scratch
+// that lives from an assembly's element loop to its gather, so assemblers
+// that never assemble concurrently — the stage assemblers of one solver —
+// can share one, sized for the largest of them.
+func (a *Assembler) ShareStore(b *Assembler) { a.store = b.store }
+
+// fitStore sizes the shared store for n values, growing it only when it
+// is too small.
+func (a *Assembler) fitStore(n int) []float64 {
+	*a.store = fit(*a.store, n)
+	return *a.store
+}
 
 // WorkN returns worker w's GEMM scratch.
 func (a *Assembler) WorkN(w int) *GemmWork {
@@ -202,58 +160,44 @@ func (a *Assembler) WorkN(w int) *GemmWork {
 
 // SetEpoch declares the mesh generation the assembler is running on.
 // A change invalidates every cached plan (the sparsity of a remeshed
-// domain is new), so the next assembly re-runs the cold path.
+// domain is new).
 func (a *Assembler) SetEpoch(e uint64) {
 	if e == a.epoch {
 		return
 	}
 	a.epoch = e
-	a.InvalidatePlans()
+	a.plan, a.vplan = nil, nil
 }
 
 // Epoch returns the assembler's current mesh epoch.
 func (a *Assembler) Epoch() uint64 { return a.epoch }
 
-// InvalidatePlans drops the cached assembly plans — matrix and vector —
-// (e.g. after a remesh).
-func (a *Assembler) InvalidatePlans() {
-	a.plans[0], a.plans[1] = nil, nil
-	a.vplan = nil
-}
-
 // Rebind points the assembler at a new mesh generation, preserving
 // everything mesh-independent: the reference element, the per-worker
 // kernel scratch and the pool wiring. The cached plans are dropped (a
-// remeshed domain has a new sparsity) and the off-process buffer's
-// destination set is cleared, because the neighbour ranks of the new
-// partition differ.
+// remeshed domain has a new sparsity).
 func (a *Assembler) Rebind(m *mesh.Mesh) {
 	if m.Dim != a.M.Dim {
 		panic("fem: Assembler.Rebind across dimensions")
 	}
 	a.M = m
-	a.InvalidatePlans()
-	a.off.clear()
+	a.plan, a.vplan = nil, nil
 }
 
-// Plan returns the cached plan for a layout, or nil before the first
-// assembly (or after invalidation).
-func (a *Assembler) Plan(layout Layout) *AssemblyPlan { return a.plans[planIdx(layout)] }
-
-// NewMatrix allocates a matrix for the layout. When the layout's plan
-// exists the matrix shares the frozen sparsity and is born finalized
-// (zero values), so assembling into it takes the warm plan-driven path
-// immediately.
+// NewMatrix returns a zero matrix on the plan's frozen pattern: scalar
+// AIJ for the baseline layout, BAIJ otherwise. The plan is built from the
+// mesh connectivity when missing, so the first call per mesh generation
+// is collective.
 func (a *Assembler) NewMatrix(layout Layout) *la.BSRMat {
+	if a.plan == nil {
+		a.plan = a.buildPlan(nil, nil)
+	}
+	m := a.M
 	var mat *la.BSRMat
-	if p := a.plans[planIdx(layout)]; p != nil {
-		if layout == LayoutAIJ {
-			mat = la.NewAIJFromSparsity(a.M, a.Ndof, a.M.NumOwned, a.M.NumLocal, p.sp)
-		} else {
-			mat = la.NewBAIJFromSparsity(a.M, a.Ndof, a.M.NumOwned, a.M.NumLocal, p.sp)
-		}
+	if layout == LayoutAIJ {
+		mat = la.NewAIJFromSparsity(m, a.Ndof, m.NumOwned, m.NumLocal, a.plan.scalarSparsity())
 	} else {
-		mat = NewMatrix(a.M, a.Ndof, layout)
+		mat = la.NewBAIJFromSparsity(m, a.Ndof, m.NumOwned, m.NumLocal, a.plan.sp)
 	}
 	// Operators inherit the assembler's pool: SpMV shards across the same
 	// workers as the element loop (bitwise-identical to serial).
@@ -261,444 +205,172 @@ func (a *Assembler) NewMatrix(layout Layout) *la.BSRMat {
 	return mat
 }
 
-// planFor returns the plan to use for a warm assembly into mat, or nil
-// if this assembly must run cold (no plan yet, or mat does not share the
-// plan's frozen pattern).
-func (a *Assembler) planFor(mat *la.BSRMat, layout Layout) *AssemblyPlan {
-	p := a.plans[planIdx(layout)]
-	if p == nil || !mat.Finalized() || mat.Sparsity() != p.sp {
-		return nil
-	}
-	return p
-}
-
-// finishCold freezes the matrix after a cold assembly and builds the
-// layout's plan from the frozen pattern if none exists yet.
-func (a *Assembler) finishCold(mat *la.BSRMat, layout Layout) {
-	mat.Finalize()
-	if a.plans[planIdx(layout)] == nil {
-		a.plans[planIdx(layout)] = a.buildPlan(layout, mat.Sparsity())
-	}
-}
-
 // AssembleMatrix runs the element loop with the node-major kernel and
-// accumulates into mat using the requested layout (LayoutAIJ or
-// LayoutBAIJ). Contributions to rows owned remotely are exchanged with
-// NBX at the end (PETSc's off-process assembly). The first assembly per
-// layout builds the sparsity through the COO map and precomputes the
-// assembly plan; subsequent assemblies into plan-pattern matrices are
-// plan-driven (no map operations, sharded across workers). Collective.
+// overwrites mat's values (LayoutAIJ or LayoutBAIJ). mat must come from
+// NewMatrix since the last plan invalidation. Contributions to rows owned
+// remotely are exchanged with NBX at the end (PETSc's off-process
+// assembly). Collective.
 func (a *Assembler) AssembleMatrix(mat *la.BSRMat, layout Layout, kern NodeMajorKernel) {
 	if layout == LayoutZipped {
 		panic("fem: use AssembleMatrixZipped for the zipped layout")
 	}
-	if plan := a.planFor(mat, layout); plan != nil {
-		a.assembleWarm(mat, plan, kern, nil)
-		return
-	}
-	a.off.reset()
-	ws := &a.ws[0]
-	for e := 0; e < a.M.NumElems(); e++ {
-		for i := range ws.ke {
-			ws.ke[i] = 0
-		}
-		kern(0, e, a.M.ElemSize(e), ws.ke)
-		a.scatterKe(mat, layout, e)
-	}
-	a.flushOffProc(mat, layout)
-	a.finishCold(mat, layout)
+	a.assembleMatrix(mat, layout == LayoutAIJ, kern, nil)
 }
 
-// AssembleMatrixZipped runs the element loop with a zipped kernel; blocks
-// are unzipped per node pair straight into BAIJ block writes. Shares the
-// cold-then-plan lifecycle of AssembleMatrix. Collective.
+// AssembleMatrixZipped runs the element loop with a zipped kernel, each
+// shard unzipping its blocks into the store. Otherwise as AssembleMatrix
+// with LayoutBAIJ. Collective.
 func (a *Assembler) AssembleMatrixZipped(mat *la.BSRMat, kern ZippedKernel) {
-	if plan := a.planFor(mat, LayoutZipped); plan != nil {
-		a.assembleWarm(mat, plan, nil, kern)
-		return
-	}
-	a.off.reset()
-	ws := &a.ws[0]
-	npe := a.Ref.NPE
-	nd := a.Ndof
-	for e := 0; e < a.M.NumElems(); e++ {
-		for _, b := range ws.blocks {
-			for i := range b {
-				b[i] = 0
-			}
-		}
-		kern(0, e, a.M.ElemSize(e), ws.blocks)
-		// Unzip per node pair: gather the ndof x ndof block for (a,b)
-		// from the contiguous dof-pair blocks.
-		cpe := a.M.CornersPerElem()
-		for ca := 0; ca < cpe; ca++ {
-			conA := &a.M.Conn[e*cpe+ca]
-			for cb := 0; cb < cpe; cb++ {
-				conB := &a.M.Conn[e*cpe+cb]
-				for di := 0; di < nd; di++ {
-					for dj := 0; dj < nd; dj++ {
-						ws.blk[di*nd+dj] = ws.blocks[di*nd+dj][ca*npe+cb]
-					}
-				}
-				a.distributeBlock(mat, LayoutBAIJ, conA, conB, ws.blk)
-			}
-		}
-	}
-	a.flushOffProc(mat, LayoutBAIJ)
-	a.finishCold(mat, LayoutZipped)
+	a.assembleMatrix(mat, false, nil, kern)
 }
 
-// assembleWarm is the steady-state path: plan-driven flat-array
-// accumulation, sharded across workers. Worker 0 accumulates directly
-// into the matrix values (preserving the cold accumulation order when
-// workers == 1); workers 1..n-1 accumulate into private buffers merged
-// afterwards in worker order.
-func (a *Assembler) assembleWarm(mat *la.BSRMat, plan *AssemblyPlan, kern NodeMajorKernel, zkern ZippedKernel) {
-	n := a.M.NumElems()
+func (a *Assembler) assembleMatrix(mat *la.BSRMat, scalar bool, kern NodeMajorKernel, zkern ZippedKernel) {
+	p := a.plan
+	if p == nil || (scalar && mat.Sparsity() != p.scalarSparsity()) || (!scalar && mat.Sparsity() != p.sp) {
+		panic("fem: matrix is not on the assembler's frozen pattern; allocate it with Assembler.NewMatrix")
+	}
+	nw := a.shards()
+	if a.matElemFn == nil {
+		a.matElemFn, a.matGatherFn = a.runMatElemShard, a.runMatGatherShard
+	}
+	a.shNW, a.shVals, a.shScalar, a.shKern, a.shZKern = nw, mat.Vals(), scalar, kern, zkern
+	nn := a.Ref.NPE * a.Ndof
+	a.shStore = a.fitStore(a.M.NumElems() * nn * nn)
+	a.runSharded(a.matElemFn, nw)
+	a.runSharded(a.matGatherFn, nw)
+	a.shVals, a.shKern, a.shZKern, a.shStore = nil, nil, nil, nil
+	a.flushPlanned(mat, p, scalar)
+}
+
+// shards returns the shard count of the next assembly: the worker count,
+// clamped to the pool and to the element count.
+func (a *Assembler) shards() int {
 	nw := a.workers
-	if a.pool != nil && a.pool.Workers() < nw {
-		nw = a.pool.Workers()
+	if a.pool != nil {
+		nw = min(nw, a.pool.Workers())
 	}
-	if nw > n {
-		nw = n
-	}
-	if nw < 1 {
-		nw = 1
-	}
+	nw = max(1, min(nw, a.M.NumElems()))
 	a.ensureWorkers(nw)
-	vals := mat.Vals()
-	if nw == 1 {
-		a.runShard(0, 0, n, vals, plan, kern, zkern)
-	} else {
-		if a.elemFn == nil {
-			a.elemFn, a.mergeFn = a.runElemShard, a.runMergeShard
-		}
-		a.shVals, a.shPlan, a.shKern, a.shZKern, a.shN, a.shNW = vals, plan, kern, zkern, n, nw
-		a.runSharded(a.elemFn, nw)
-		a.runSharded(a.mergeFn, nw)
-		a.shVals, a.shPlan, a.shKern, a.shZKern = nil, nil, nil, nil
-	}
-	a.flushPlanned(mat, plan)
+	return nw
 }
 
-// runElemShard is the prebuilt element-loop shard: worker 0 accumulates
-// directly into the matrix values; workers 1..nw-1 zero and fill their
-// private buffers (the O(nnz) memset parallelizes instead of serializing
-// the launch).
-func (a *Assembler) runElemShard(w int) {
-	nw, n := a.shNW, a.shN
-	if w >= nw {
-		return
-	}
-	lo, hi := par.Shard(w, nw, n)
-	if w == 0 {
-		a.runShard(0, lo, hi, a.shVals, a.shPlan, a.shKern, a.shZKern)
-		return
-	}
-	ws := &a.ws[w]
-	if len(ws.vals) != len(a.shVals) {
-		ws.vals = make([]float64, len(a.shVals))
-	} else {
-		for i := range ws.vals {
-			ws.vals[i] = 0
+// runSharded dispatches one prebuilt shard function across nw workers:
+// on the pool when it is large enough (allocation-free), otherwise on
+// transient goroutines, and directly on the caller when nw == 1.
+func (a *Assembler) runSharded(f func(w int), nw int) {
+	switch {
+	case nw == 1:
+		f(0)
+	case a.pool != nil && a.pool.Workers() >= nw:
+		a.pool.Run(f)
+	default:
+		done := make(chan struct{}, nw-1)
+		for w := 1; w < nw; w++ {
+			go func(w int) {
+				f(w)
+				done <- struct{}{}
+			}(w)
 		}
-	}
-	a.runShard(w, lo, hi, ws.vals, a.shPlan, a.shKern, a.shZKern)
-}
-
-// runMergeShard merges the worker buffers into the matrix values, sharded
-// by index range so the merge itself parallelizes; every index still sums
-// workers in order 1..nw-1, keeping the result independent of merge
-// scheduling.
-func (a *Assembler) runMergeShard(s int) {
-	nw := a.shNW
-	if s >= nw {
-		return
-	}
-	vals := a.shVals
-	nv := len(vals)
-	lo, hi := par.Shard(s, nw, nv)
-	for w := 1; w < nw; w++ {
-		buf := a.ws[w].vals
-		for i := lo; i < hi; i++ {
-			vals[i] += buf[i]
+		f(0)
+		for w := 1; w < nw; w++ {
+			<-done
 		}
 	}
 }
 
-// runShard assembles elements [e0,e1) with worker w's scratch,
-// accumulating local contributions into vals and off-process ones into
-// the plan's preallocated rank buffers (each plan entry is written by
-// exactly one element, so shards never contend).
-func (a *Assembler) runShard(w, e0, e1 int, vals []float64, plan *AssemblyPlan, kern NodeMajorKernel, zkern ZippedKernel) {
+// runMatElemShard runs the element loop over shard w's range, each
+// element writing its node-major elemental matrix into its own slice of
+// the store.
+func (a *Assembler) runMatElemShard(w int) {
+	if w >= a.shNW {
+		return
+	}
 	m := a.M
-	ws := &a.ws[w]
-	cpe := m.CornersPerElem()
-	nd := a.Ndof
-	npe := a.Ref.NPE
-	n := npe * nd
-	blk := ws.blk
-	idx := plan.elemOff[e0]
-	for e := e0; e < e1; e++ {
+	lo, hi := par.Shard(w, a.shNW, m.NumElems())
+	nn := a.Ref.NPE * a.Ndof
+	nn *= nn
+	store := a.shStore
+	blocks := a.ws[w].blocks
+	for e := lo; e < hi; e++ {
+		ke := store[e*nn : (e+1)*nn : (e+1)*nn]
 		h := m.ElemSize(e)
-		if kern != nil {
-			ke := ws.ke
-			for i := range ke {
-				ke[i] = 0
-			}
-			kern(w, e, h, ke)
-			for ca := 0; ca < cpe; ca++ {
-				conA := &m.Conn[e*cpe+ca]
-				for cb := 0; cb < cpe; cb++ {
-					conB := &m.Conn[e*cpe+cb]
-					for di := 0; di < nd; di++ {
-						for dj := 0; dj < nd; dj++ {
-							blk[di*nd+dj] = ke[(ca*nd+di)*n+cb*nd+dj]
-						}
-					}
-					idx = plan.applyBlock(vals, idx, int(conA.N)*int(conB.N), blk, nd)
-				}
-			}
-		} else {
-			blocks := ws.blocks
-			for _, b := range blocks {
-				for i := range b {
-					b[i] = 0
-				}
-			}
-			zkern(w, e, h, blocks)
-			for ca := 0; ca < cpe; ca++ {
-				conA := &m.Conn[e*cpe+ca]
-				for cb := 0; cb < cpe; cb++ {
-					conB := &m.Conn[e*cpe+cb]
-					for di := 0; di < nd; di++ {
-						for dj := 0; dj < nd; dj++ {
-							blk[di*nd+dj] = blocks[di*nd+dj][ca*npe+cb]
-						}
-					}
-					idx = plan.applyBlock(vals, idx, int(conA.N)*int(conB.N), blk, nd)
-				}
-			}
+		if a.shKern != nil {
+			clear(ke)
+			a.shKern(w, e, h, ke)
+			continue
 		}
+		for _, b := range blocks {
+			clear(b)
+		}
+		a.shZKern(w, e, h, blocks)
+		UnzipMat(a.Ndof, a.Ref.NPE, blocks, ke)
 	}
 }
 
-// scatterKe distributes the node-major elemental matrix through the
-// hanging constraints into mat (cold path).
-func (a *Assembler) scatterKe(mat *la.BSRMat, layout Layout, e int) {
-	ws := &a.ws[0]
-	cpe := a.M.CornersPerElem()
+// runMatGatherShard sums every block slot of shard w's owned rows from
+// its store items in ascending traversal order (the serial accumulation
+// order, so the result is independent of the shard count), and fills
+// shard w's part of the off-process store.
+func (a *Assembler) runMatGatherShard(w int) {
+	if w >= a.shNW {
+		return
+	}
+	p := a.plan
+	sp := p.sp
 	nd := a.Ndof
-	n := a.Ref.NPE * nd
-	for ca := 0; ca < cpe; ca++ {
-		conA := &a.M.Conn[e*cpe+ca]
-		for cb := 0; cb < cpe; cb++ {
-			conB := &a.M.Conn[e*cpe+cb]
-			// Extract the ndof x ndof corner block from node-major Ke.
-			for di := 0; di < nd; di++ {
-				for dj := 0; dj < nd; dj++ {
-					ws.blk[di*nd+dj] = ws.ke[(ca*nd+di)*n+cb*nd+dj]
+	bs2 := nd * nd
+	nn := a.Ref.NPE * nd
+	vals := a.shVals
+	lo, hi := par.Shard(w, a.shNW, sp.NRows)
+	for r := lo; r < hi; r++ {
+		for s := int(sp.Indptr[r]); s < int(sp.Indptr[r+1]); s++ {
+			var acc [16]float64
+			for k := p.off[s]; k < p.off[s+1]; k++ {
+				src := a.shStore[p.src[k]:]
+				wk := p.wt[p.wi[k]]
+				for di := 0; di < nd; di++ {
+					for dj, x := range src[di*nn : di*nn+nd] {
+						acc[di*nd+dj] += wk * x
+					}
 				}
 			}
-			a.distributeBlock(mat, layout, conA, conB, ws.blk)
-		}
-	}
-}
-
-// distributeBlock adds blk (ndof x ndof) at every donor pair of the two
-// constraints, weighted, routing remotely-owned rows to the off-process
-// buffer.
-func (a *Assembler) distributeBlock(mat *la.BSRMat, layout Layout, conA, conB *mesh.Constraint, blk []float64) {
-	m := a.M
-	nd := a.Ndof
-	me := int32(m.Comm.Rank())
-	for i := 0; i < int(conA.N); i++ {
-		rowNode := int(conA.Idx[i])
-		wi := conA.W[i]
-		for j := 0; j < int(conB.N); j++ {
-			colNode := int(conB.Idx[j])
-			w := wi * conB.W[j]
-			if m.Owner[rowNode] != me {
-				var ent offProc
-				ent.Row = m.Keys[rowNode]
-				ent.Col = m.Keys[colNode]
-				for k := 0; k < nd*nd; k++ {
-					ent.V[k] = w * blk[k]
-				}
-				a.off.add(int(m.Owner[rowNode]), ent)
+			if !a.shScalar {
+				copy(vals[s*bs2:s*bs2+bs2], acc[:bs2])
 				continue
 			}
-			switch layout {
-			case LayoutAIJ:
-				// Strided scalar writes, the baseline pattern of Fig. 3.
-				for di := 0; di < nd; di++ {
-					for dj := 0; dj < nd; dj++ {
-						mat.AddValue(rowNode*nd+di, colNode*nd+dj, w*blk[di*nd+dj])
-					}
-				}
-			default:
-				if w == 1 {
-					mat.AddBlock(rowNode, colNode, blk)
-				} else {
-					var tmp [16]float64
-					for k := 0; k < nd*nd; k++ {
-						tmp[k] = w * blk[k]
-					}
-					mat.AddBlock(rowNode, colNode, tmp[:nd*nd])
-				}
+			base, stride := aijBlock(sp, r, s, nd)
+			for di := 0; di < nd; di++ {
+				copy(vals[base+di*stride:base+di*stride+nd], acc[di*nd:di*nd+nd])
 			}
 		}
 	}
-}
-
-// offProcBuf buffers remote-row contributions per destination rank. One
-// buffer lives on the Assembler and is reset (capacity kept) between
-// assemblies instead of reallocated.
-type offProcBuf struct {
-	dests []int
-	bufs  [][]offProc
-	pos   map[int]int // rank -> index into dests/bufs
-}
-
-func newOffProcBuf() *offProcBuf { return &offProcBuf{pos: map[int]int{}} }
-
-// reset empties every per-destination slice, keeping capacity and the
-// destination set (the neighbour ranks of a fixed mesh do not change).
-func (b *offProcBuf) reset() {
-	for i := range b.bufs {
-		b.bufs[i] = b.bufs[i][:0]
-	}
-}
-
-// clear additionally drops the destination set itself (the neighbour
-// ranks change when the assembler is rebound to a remeshed domain).
-func (b *offProcBuf) clear() {
-	b.dests = b.dests[:0]
-	b.bufs = b.bufs[:0]
-	clear(b.pos)
-}
-
-func (b *offProcBuf) add(rank int, e offProc) {
-	i, ok := b.pos[rank]
-	if !ok {
-		i = len(b.dests)
-		b.pos[rank] = i
-		b.dests = append(b.dests, rank)
-		b.bufs = append(b.bufs, nil)
-	}
-	b.bufs[i] = append(b.bufs[i], e)
-}
-
-// srcOrder returns indices of srcs in ascending source-rank order, so
-// received contributions are applied in a deterministic order regardless
-// of message arrival (required for warm reassembly to reproduce the cold
-// values bit for bit).
-func srcOrder(srcs []int) []int {
-	order := make([]int, len(srcs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool { return srcs[order[i]] < srcs[order[j]] })
-	return order
-}
-
-// flushOffProc exchanges buffered remote-row contributions and applies the
-// received ones locally (cold path). The trailing barrier lets senders
-// safely reuse their buffers next assembly: payloads travel by reference
-// in the in-process runtime.
-func (a *Assembler) flushOffProc(mat *la.BSRMat, layout Layout) {
-	c := a.M.Comm
-	if c.Size() == 1 {
-		return
-	}
-	srcs, recvd := par.NBXExchange(c, a.off.dests, a.off.bufs)
-	nd := a.Ndof
-	for _, bi := range srcOrder(srcs) {
-		for _, ent := range recvd[bi] {
-			rowNode, ok := a.M.NodeIndex(ent.Row)
-			if !ok {
-				panic(fmt.Sprintf("fem: off-process row %v unknown on owner", ent.Row))
-			}
-			colNode, ok := a.M.NodeIndex(ent.Col)
-			if !ok {
-				panic(fmt.Sprintf("fem: off-process column %v unknown on rank %d", ent.Col, c.Rank()))
-			}
-			if layout == LayoutAIJ {
-				for di := 0; di < nd; di++ {
-					for dj := 0; dj < nd; dj++ {
-						mat.AddValue(rowNode*nd+di, colNode*nd+dj, ent.V[di*nd+dj])
-					}
-				}
-			} else {
-				mat.AddBlock(rowNode, colNode, ent.V[:nd*nd])
+	lo, hi = par.Shard(w, a.shNW, len(p.offStore))
+	for k := lo; k < hi; k++ {
+		src := a.shStore[p.offSrc[k]:]
+		wk := p.offW[k]
+		V := &p.offStore[k].V
+		for di := 0; di < nd; di++ {
+			for dj, x := range src[di*nn : di*nn+nd] {
+				V[di*nd+dj] = wk * x
 			}
 		}
 	}
-	c.Barrier()
 }
 
 // flushPlanned exchanges the plan's prefilled off-process buffers and
-// applies received contributions through per-source receive plans
-// (precomputed slots, no node-index map lookups after the first flush).
-func (a *Assembler) flushPlanned(mat *la.BSRMat, plan *AssemblyPlan) {
+// applies received contributions through per-source receive plans in
+// ascending source-rank order. The trailing barrier lets senders safely
+// rewrite their buffers next assembly: payloads travel by reference in
+// the in-process runtime.
+func (a *Assembler) flushPlanned(mat *la.BSRMat, p *AssemblyPlan, scalar bool) {
 	c := a.M.Comm
 	if c.Size() == 1 {
 		return
 	}
-	srcs, recvd := par.NBXExchange(c, plan.offDests, plan.offBufs)
+	srcs, recvd := par.NBXExchange(c, p.offDests, p.offBufs)
 	vals := mat.Vals()
 	for _, bi := range srcOrder(srcs) {
-		rp := plan.recvPlanFor(a, srcs[bi], recvd[bi])
-		rp.apply(vals, recvd[bi], plan.scalar, a.Ndof)
+		p.recvPlanFor(a.M, srcs[bi], recvd[bi]).apply(vals, recvd[bi], p.sp, scalar, a.Ndof)
 	}
 	c.Barrier()
-}
-
-// VecKernel fills the node-major elemental vector fe[a*ndof+d].
-type VecKernel func(e int, h float64, fe []float64)
-
-// AssembleVector accumulates elemental vectors into v (full local layout)
-// and pushes ghost contributions to owners. This is the serial reference
-// path (and the bitwise contract AssembleVectorPlanned is tested
-// against); hot-loop callers use the sharded, allocation-free planned
-// variant in vecplan.go. Collective.
-func (a *Assembler) AssembleVector(v []float64, kern VecKernel) {
-	for i := range v {
-		v[i] = 0
-	}
-	cpe := a.M.CornersPerElem()
-	fe := make([]float64, cpe*a.Ndof)
-	for e := 0; e < a.M.NumElems(); e++ {
-		for i := range fe {
-			fe[i] = 0
-		}
-		kern(e, a.M.ElemSize(e), fe)
-		a.M.ScatterAddElem(e, fe, a.Ndof, v)
-	}
-	a.M.GhostWrite(v, a.Ndof, mesh.Add, 0)
-}
-
-// ZippedVecKernel fills the dof-major (zipped) elemental vector
-// fz[d*npe+a].
-type ZippedVecKernel func(e int, h float64, fz []float64)
-
-// AssembleVectorZipped is the stage-2 vector path: kernels produce zipped
-// (dof-contiguous) elemental vectors via DGEMV, which are unzipped before
-// the constraint scatter. Collective.
-func (a *Assembler) AssembleVectorZipped(v []float64, kern ZippedVecKernel) {
-	for i := range v {
-		v[i] = 0
-	}
-	cpe := a.M.CornersPerElem()
-	fz := make([]float64, cpe*a.Ndof)
-	fe := make([]float64, cpe*a.Ndof)
-	for e := 0; e < a.M.NumElems(); e++ {
-		for i := range fz {
-			fz[i] = 0
-		}
-		kern(e, a.M.ElemSize(e), fz)
-		UnzipVec(a.Ndof, cpe, fz, fe)
-		a.M.ScatterAddElem(e, fe, a.Ndof, v)
-	}
-	a.M.GhostWrite(v, a.Ndof, mesh.Add, 0)
 }

@@ -261,9 +261,9 @@ func TestAssemblyLayoutsAgree(t *testing.T) {
 					r.MassGemm(wk, h, 0.3, nil, blocks[1])
 					r.MassGemm(wk, h, 1, nil, blocks[3])
 				}
-				aij := NewMatrix(m, ndof, LayoutAIJ)
-				baij := NewMatrix(m, ndof, LayoutBAIJ)
-				zipped := NewMatrix(m, ndof, LayoutZipped)
+				aij := asm.NewMatrix(LayoutAIJ)
+				baij := asm.NewMatrix(LayoutBAIJ)
+				zipped := asm.NewMatrix(LayoutZipped)
 				asm.AssembleMatrix(aij, LayoutAIJ, loopKern)
 				asm.AssembleMatrix(baij, LayoutBAIJ, loopKern)
 				asm.AssembleMatrixZipped(zipped, zipKern)
@@ -303,12 +303,12 @@ func solvePoisson(c *par.Comm, dim, base, fine int) float64 {
 		return float64(dim) * math.Pi * math.Pi * exact(x, y, z)
 	}
 	asm := NewAssembler(m, 1)
-	K := NewMatrix(m, 1, LayoutBAIJ)
+	K := asm.NewMatrix(LayoutBAIJ)
 	asm.AssembleMatrix(K, LayoutBAIJ, func(w, e int, h float64, ke []float64) {
 		asm.Ref.Stiffness(h, 1, ke)
 	})
 	b := m.NewVec(1)
-	asm.AssembleVector(b, func(e int, h float64, fe []float64) {
+	asm.AssembleVectorPlanned(b, func(w, e int, h float64, fe []float64) {
 		f := make([]float64, asm.Ref.NPE)
 		cpe := m.CornersPerElem()
 		ox, oy, oz := m.ElemOrigin(e)
@@ -320,7 +320,6 @@ func solvePoisson(c *par.Comm, dim, base, fine int) float64 {
 		}
 		asm.Ref.LoadVector(h, f, 1, fe)
 	})
-	K.Finalize()
 	for i := 0; i < m.NumOwned; i++ {
 		if m.OnBoundary(i) {
 			K.ZeroRow(i, 1)
@@ -382,7 +381,7 @@ func TestVectorAssemblyPathsAgree(t *testing.T) {
 		}
 		v1 := m.NewVec(ndof)
 		v2 := m.NewVec(ndof)
-		asm.AssembleVector(v1, func(e int, h float64, fe []float64) {
+		asm.AssembleVectorPlanned(v1, func(w, e int, h float64, fe []float64) {
 			tmp := make([]float64, npe)
 			r.LoadVector(h, src, 1, tmp)
 			for a := 0; a < npe; a++ {
@@ -390,12 +389,12 @@ func TestVectorAssemblyPathsAgree(t *testing.T) {
 				fe[a*ndof+1] += 2 * tmp[a]
 			}
 		})
-		asm.AssembleVectorZipped(v2, func(e int, h float64, fz []float64) {
-			w := asm.Work()
+		asm.AssembleVectorZippedPlanned(v2, func(w, e int, h float64, fz []float64) {
+			wk := asm.WorkN(w)
 			fG := make([]float64, r.NG)
 			r.CoefAtGauss(src, fG)
 			tmp := make([]float64, npe)
-			r.LoadGemm(w, h, 1, fG, tmp)
+			r.LoadGemm(wk, h, 1, fG, tmp)
 			for a := 0; a < npe; a++ {
 				fz[a] += tmp[a]         // dof 0 block
 				fz[npe+a] += 2 * tmp[a] // dof 1 block

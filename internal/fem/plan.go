@@ -2,75 +2,163 @@ package fem
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"proteus/internal/la"
 	"proteus/internal/mesh"
 )
 
-// planEntry is one precomputed contribution destination: element loop ×
-// corner pair × constraint-donor pair, in traversal order. Local entries
-// carry the CSR slot (block slot for node-block layouts; the scalar base
-// slot plus per-dof-row stride for AIJ); off-process entries carry the
-// bit-complement of their index into the plan's prefilled send store.
-type planEntry struct {
-	w    float64
-	slot int32 // >= 0: local slot; < 0: ^slot indexes offStore
-	aux  int32 // AIJ local entries: scalar row stride (row nnz)
+// gatherPlan is the store-and-gather core shared by matrix and vector
+// assembly. The sharded element loop writes each element's unweighted
+// elemental contribution into its own slice of the assembler's
+// contribution store (so element shards never contend); the gather then
+// sums every target — a matrix block slot, a vector node — from its
+// items, each a store offset and a constraint weight, in ascending
+// traversal order. That is exactly the accumulation order of the serial
+// element/corner/donor scatter, so the result is bitwise identical to it
+// at any shard count.
+type gatherPlan struct {
+	// Target t sums items off[t]:off[t+1]; src holds the item store
+	// offsets and wt[wi] their weights (products of hanging-node weights
+	// take a handful of distinct values, so a byte index into a small
+	// table stands in for a float64 per item). fill is the per-target
+	// build cursor.
+	off  []int32
+	src  []int32
+	wi   []uint8
+	wt   []float64
+	fill []int32
+}
+
+// reset sizes the gather for nTargets targets with zero counts, reusing
+// existing capacity (a rebuild on a mesh that did not grow allocates
+// nothing here).
+func (g *gatherPlan) reset(nTargets int) {
+	g.wt = g.wt[:0]
+	g.off = fit(g.off, nTargets+1)
+	clear(g.off)
+	g.fill = fit(g.fill, nTargets)
+}
+
+// count registers one item for target t (build pass 1).
+func (g *gatherPlan) count(t int32) { g.off[t+1]++ }
+
+// seal turns the per-target counts into offsets and sizes the item lists.
+func (g *gatherPlan) seal() {
+	for t := range g.fill {
+		g.off[t+1] += g.off[t]
+	}
+	copy(g.fill, g.off)
+	n := int(g.off[len(g.fill)])
+	g.src = fit(g.src, n)
+	g.wi = fit(g.wi, n)
+}
+
+// put appends the next item of target t (build pass 2, traversal order).
+func (g *gatherPlan) put(t, src int32, w float64) {
+	i := slices.Index(g.wt, w)
+	if i < 0 {
+		if i = len(g.wt); i > math.MaxUint8 {
+			panic("fem: more than 256 distinct constraint weights")
+		}
+		g.wt = append(g.wt, w)
+	}
+	k := g.fill[t]
+	g.src[k], g.wi[k] = src, uint8(i)
+	g.fill[t] = k + 1
+}
+
+func fit[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // AssemblyPlan freezes everything about matrix assembly that depends only
-// on (mesh, ndof, layout): the destination slot of every elemental
-// contribution and the off-process routing. It is built once from the
-// first (cold, map-based) assembly; steady-state reassembly then runs as
-// branch-light flat-array accumulation with zero map operations and zero
-// per-element allocation — the persistent-sparsity counterpart of the
-// paper's Table I assembly optimizations.
+// on (mesh, ndof): the node-block sparsity of the owned rows, built from
+// the mesh connectivity, and a gather plan over it. The element loop
+// writes one node-major elemental matrix per element into the contribution
+// store; each block slot's items are the (element, corner pair, donor
+// pair) contributions landing on it.
+// Contributions to remotely owned rows go to a prefilled off-process
+// store exchanged with NBX (PETSc's off-process cache). All three Table I
+// layouts share the plan: BAIJ and zipped write the block pattern, AIJ
+// its scalar expansion.
 type AssemblyPlan struct {
-	ndof   int
-	scalar bool // AIJ (scalar CSR) addressing
-	sp     *la.Sparsity
+	ndof int
+	sp   *la.Sparsity // node-block pattern
+	ssp  *la.Sparsity // scalar AIJ expansion of sp, made on first use
+	gatherPlan
 
-	// entries in traversal order; elemOff[e] is element e's first entry,
-	// so shards of the parallel loop index independently.
-	entries []planEntry
+	// slots[k] is traversal entry k's destination: a block slot (>= 0) or
+	// the bit-complement of its offStore index. elemOff[e] is element e's
+	// first entry. Both serve the in-place repair after a mesh patch.
+	slots   []int32
 	elemOff []int32
 
-	// Off-process sends: keys prefilled at plan build, values rewritten
-	// each assembly. offBufs are rank-major views into offStore, in
-	// ascending-rank order (offDests).
+	// Off-process sends: keys prefilled at build, values rewritten each
+	// assembly from offSrc/offW. offBufs are rank-major views into
+	// offStore, ranks ascending (offDests).
 	offStore []offProc
+	offSrc   []int32
+	offW     []float64
 	offDests []int
 	offBufs  [][]offProc
 
 	// recv[src] caches the receive-side slots for src's (static) batch;
-	// built on the first warm flush, validated against the keys on every
-	// later flush.
+	// built on the first flush, validated against the keys on every later
+	// flush.
 	recv []*recvPlan
 }
 
-// Sparsity returns the frozen pattern the plan addresses.
-func (p *AssemblyPlan) Sparsity() *la.Sparsity { return p.sp }
+// scalarSparsity returns the AIJ pattern: sp itself for one unknown per
+// node, else its block-regular scalar expansion.
+func (p *AssemblyPlan) scalarSparsity() *la.Sparsity {
+	if p.ndof == 1 {
+		return p.sp
+	}
+	if p.ssp == nil {
+		p.ssp = expandScalarSparsity(p.sp, p.ndof)
+	}
+	return p.ssp
+}
 
-// Entries returns the precomputed contribution count (diagnostics).
-func (p *AssemblyPlan) Entries() int { return len(p.entries) }
-
-// OffProcEntries returns the off-process contribution count.
-func (p *AssemblyPlan) OffProcEntries() int { return len(p.offStore) }
-
-// buildPlan walks the element loop exactly as distributeBlock does and
-// resolves every contribution's destination against the frozen sparsity.
-// Called once per layout after the first cold assembly finalizes mat.
-func (a *Assembler) buildPlan(layout Layout, sp *la.Sparsity) *AssemblyPlan {
+// buildPlan builds the matrix plan from the mesh connectivity. With an
+// old plan and the delta of a mesh patch (see RebindPatched) only dirty
+// rows are recomputed and every entry of a clean element into a clean row
+// carries its slot over; with op == nil every row is dirty. Either way
+// the result is the same plan. The gather lists reuse op's allocations.
+// Collective on more than one rank.
+func (a *Assembler) buildPlan(op *AssemblyPlan, d *mesh.Delta) *AssemblyPlan {
 	m := a.M
 	nd := a.Ndof
 	cpe := m.CornersPerElem()
+	nn := cpe * nd
 	me := int32(m.Comm.Rank())
 	nE := m.NumElems()
-	plan := &AssemblyPlan{ndof: nd, scalar: layout == LayoutAIJ, sp: sp}
+	if d == nil {
+		op = nil
+	}
+	var dirty []bool
+	var oldOf []int32
+	var oldSp *la.Sparsity
+	if op != nil {
+		dirty, oldSp = d.DirtyNode, op.sp
+		oldOf = invertRemap(d.NodeRemap, m.NumLocal)
+	}
+	sp := patchNodeSparsity(m.NumOwned, oldSp, dirty, d, oldOf, a.dirtyRowPairs(dirty))
+	p := &AssemblyPlan{ndof: nd, sp: sp}
+	if op != nil {
+		p.gatherPlan = op.gatherPlan
+	}
+	p.reset(sp.NNZ())
 
-	// Pass 1: entry counts per element (constraints make them uneven).
-	plan.elemOff = make([]int32, nE+1)
+	// Pass 1: entry counts per element, local destinations and per-rank
+	// off-process counts.
+	p.elemOff = make([]int32, nE+1)
 	total := 0
 	for e := 0; e < nE; e++ {
 		for ca := 0; ca < cpe; ca++ {
@@ -79,54 +167,100 @@ func (a *Assembler) buildPlan(layout Layout, sp *la.Sparsity) *AssemblyPlan {
 				total += na * int(m.Conn[e*cpe+cb].N)
 			}
 		}
-		plan.elemOff[e+1] = int32(total)
+		p.elemOff[e+1] = int32(total)
 	}
-	plan.entries = make([]planEntry, total)
-
-	// Pass 2: resolve destinations. Off-process entries record their
-	// destination rank and position within that rank's send buffer (the
-	// traversal order per rank, matching the cold path's append order);
-	// the flat store index is fixed up once the per-rank counts are known.
-	type offTmp struct {
-		entry    int32
-		rank     int32
-		pos      int32
-		row, col mesh.NodeKey
-	}
-	var offs []offTmp
-	rankCount := map[int]int{}
+	p.slots = make([]int32, total)
+	rankCount := make([]int, m.Comm.Size())
 	idx := 0
 	for e := 0; e < nE; e++ {
+		oldIdx := int32(-1)
+		if op != nil && d.OldElem[e] >= 0 {
+			oldIdx = op.elemOff[d.OldElem[e]]
+		}
 		for ca := 0; ca < cpe; ca++ {
 			conA := &m.Conn[e*cpe+ca]
 			for cb := 0; cb < cpe; cb++ {
 				conB := &m.Conn[e*cpe+cb]
 				for i := 0; i < int(conA.N); i++ {
-					rowNode := int(conA.Idx[i])
-					wi := conA.W[i]
+					row := int(conA.Idx[i])
 					for j := 0; j < int(conB.N); j++ {
-						colNode := int(conB.Idx[j])
-						ent := &plan.entries[idx]
-						ent.w = wi * conB.W[j]
+						var s int32
 						switch {
-						case m.Owner[rowNode] != me:
-							r := int(m.Owner[rowNode])
-							pos := rankCount[r]
-							rankCount[r] = pos + 1
-							offs = append(offs, offTmp{
-								entry: int32(idx), rank: int32(r), pos: int32(pos),
-								row: m.Keys[rowNode], col: m.Keys[colNode],
-							})
-						case plan.scalar:
-							base, stride := aijSlot(sp, rowNode, colNode, nd)
-							ent.slot = int32(base)
-							ent.aux = int32(stride)
-						default:
-							s := sp.FindSlot(rowNode, colNode)
-							if s < 0 {
-								panic(fmt.Sprintf("fem: plan block (%d,%d) missing from frozen sparsity", rowNode, colNode))
+						case m.Owner[row] != me:
+							rankCount[m.Owner[row]]++
+							s = -1
+						case oldIdx >= 0 && !dirty[row]:
+							// Clean row of a clean element: the old entry at
+							// the same traversal position resolved the same
+							// (row, col); carry its offset within the row.
+							os := op.slots[oldIdx]
+							if os < 0 {
+								panic("fem: clean patched entry was off-process in the old plan")
 							}
-							ent.slot = int32(s)
+							s = sp.Indptr[row] + (os - oldSp.Indptr[oldOf[row]])
+						default:
+							col := int(conB.Idx[j])
+							if s = int32(sp.FindSlot(row, col)); s < 0 {
+								panic(fmt.Sprintf("fem: plan block (%d,%d) missing from the connectivity sparsity", row, col))
+							}
+						}
+						if s >= 0 {
+							p.count(s)
+						}
+						p.slots[idx] = s
+						idx++
+						if oldIdx >= 0 {
+							oldIdx++
+						}
+					}
+				}
+			}
+		}
+	}
+	p.seal()
+
+	// Off-process store, rank-major with ranks ascending; within a rank,
+	// traversal order.
+	rankStart := make([]int, len(rankCount))
+	totalOff := 0
+	for r, n := range rankCount {
+		rankStart[r] = totalOff
+		totalOff += n
+		if n > 0 {
+			p.offDests = append(p.offDests, r)
+			p.offBufs = append(p.offBufs, nil)
+		}
+	}
+	p.offStore = make([]offProc, totalOff)
+	p.offSrc = make([]int32, totalOff)
+	p.offW = make([]float64, totalOff)
+	for i, r := range p.offDests {
+		p.offBufs[i] = p.offStore[rankStart[r] : rankStart[r]+rankCount[r]]
+	}
+
+	// Pass 2: place every entry's store offset and weight, in traversal
+	// order, on its block slot's gather list or its off-process slot.
+	idx = 0
+	for e := 0; e < nE; e++ {
+		for ca := 0; ca < cpe; ca++ {
+			conA := &m.Conn[e*cpe+ca]
+			for cb := 0; cb < cpe; cb++ {
+				conB := &m.Conn[e*cpe+cb]
+				src := int32(e*nn*nn + ca*nd*nn + cb*nd)
+				for i := 0; i < int(conA.N); i++ {
+					row := int(conA.Idx[i])
+					for j := 0; j < int(conB.N); j++ {
+						w := conA.W[i] * conB.W[j]
+						if s := p.slots[idx]; s >= 0 {
+							p.put(s, src, w)
+						} else {
+							r := m.Owner[row]
+							k := rankStart[r]
+							rankStart[r]++
+							p.offStore[k].Row = m.Keys[row]
+							p.offStore[k].Col = m.Keys[conB.Idx[j]]
+							p.offSrc[k], p.offW[k] = src, w
+							p.slots[idx] = ^int32(k)
 						}
 						idx++
 					}
@@ -134,123 +268,51 @@ func (a *Assembler) buildPlan(layout Layout, sp *la.Sparsity) *AssemblyPlan {
 			}
 		}
 	}
-
-	// Flatten the off-process store rank-major, ranks ascending.
-	plan.offDests = make([]int, 0, len(rankCount))
-	for r := range rankCount {
-		plan.offDests = append(plan.offDests, r)
-	}
-	sort.Ints(plan.offDests)
-	rankStart := make(map[int]int, len(rankCount))
-	totalOff := 0
-	for _, r := range plan.offDests {
-		rankStart[r] = totalOff
-		totalOff += rankCount[r]
-	}
-	plan.offStore = make([]offProc, totalOff)
-	plan.offBufs = make([][]offProc, len(plan.offDests))
-	for i, r := range plan.offDests {
-		plan.offBufs[i] = plan.offStore[rankStart[r] : rankStart[r]+rankCount[r]]
-	}
-	for _, o := range offs {
-		flat := rankStart[int(o.rank)] + int(o.pos)
-		plan.offStore[flat].Row = o.row
-		plan.offStore[flat].Col = o.col
-		plan.entries[o.entry].slot = ^int32(flat)
-	}
-	return plan
-}
-
-// aijSlot resolves the scalar-CSR addressing of the ndof x ndof node
-// block (rowNode, colNode): the slot of its first scalar entry plus the
-// stride between consecutive dof rows. Assembly always writes full node
-// blocks, so every scalar row of a node has the same column pattern; the
-// layout is verified here (once, at plan build) and then trusted on the
-// hot path.
-func aijSlot(sp *la.Sparsity, rowNode, colNode, nd int) (base, stride int) {
-	r0 := rowNode * nd
-	base = sp.FindSlot(r0, colNode*nd)
-	if base < 0 {
-		panic(fmt.Sprintf("fem: plan entry (%d,%d) missing from frozen AIJ sparsity", rowNode, colNode))
-	}
-	stride = sp.RowLen(r0)
-	for di := 0; di < nd; di++ {
-		r := r0 + di
-		if sp.RowLen(r) != stride {
-			panic(fmt.Sprintf("fem: AIJ scalar rows of node %d have differing patterns", rowNode))
-		}
-		s := base + di*stride
-		for dj := 0; dj < nd; dj++ {
-			if sp.Cols[s+dj] != int32(colNode*nd+dj) {
-				panic(fmt.Sprintf("fem: AIJ pattern of node %d not block-regular at column node %d", rowNode, colNode))
-			}
-		}
-	}
-	return base, stride
-}
-
-// applyBlock scatters one ndof x ndof corner-pair block through the n
-// consecutive plan entries starting at idx and returns the next entry
-// index. This is the entire warm-path inner loop: weighted flat-array
-// adds for local slots, weighted value writes for off-process entries.
-func (p *AssemblyPlan) applyBlock(vals []float64, idx int32, n int, blk []float64, nd int) int32 {
-	bs2 := nd * nd
-	for k := 0; k < n; k++ {
-		ent := &p.entries[idx]
-		idx++
-		if ent.slot >= 0 {
-			if p.scalar {
-				base, stride := int(ent.slot), int(ent.aux)
-				w := ent.w
-				for di := 0; di < nd; di++ {
-					row := base + di*stride
-					for dj := 0; dj < nd; dj++ {
-						vals[row+dj] += w * blk[di*nd+dj]
-					}
-				}
-			} else {
-				base := int(ent.slot) * bs2
-				dst := vals[base : base+bs2]
-				if w := ent.w; w == 1 {
-					for i, v := range blk[:bs2] {
-						dst[i] += v
-					}
-				} else {
-					for i, v := range blk[:bs2] {
-						dst[i] += w * v
-					}
-				}
-			}
-		} else {
-			off := &p.offStore[^ent.slot]
-			w := ent.w
-			for i := 0; i < bs2; i++ {
-				off.V[i] = w * blk[i]
-			}
-		}
-	}
-	return idx
+	return p
 }
 
 // recvPlan caches the receive side of the off-process exchange for one
 // source rank: the batch a fixed sender produces from a fixed mesh is
-// static, so its destination slots are resolved once and only the keys
-// are re-checked on later flushes.
+// static, so its destination block slots (and their rows, for AIJ
+// addressing) are resolved once and only the keys are re-checked on later
+// flushes.
 type recvPlan struct {
 	rows, cols []mesh.NodeKey
-	slot, aux  []int32
+	slot, row  []int32
 }
 
 // recvPlanFor returns the cached receive plan for src, (re)building it
 // when the batch shape or keys changed.
-func (p *AssemblyPlan) recvPlanFor(a *Assembler, src int, batch []offProc) *recvPlan {
+func (p *AssemblyPlan) recvPlanFor(m *mesh.Mesh, src int, batch []offProc) *recvPlan {
 	if p.recv == nil {
-		p.recv = make([]*recvPlan, a.M.Comm.Size())
+		p.recv = make([]*recvPlan, m.Comm.Size())
 	}
 	if rp := p.recv[src]; rp != nil && rp.matches(batch) {
 		return rp
 	}
-	rp := a.buildRecvPlan(p, batch)
+	rp := &recvPlan{
+		rows: make([]mesh.NodeKey, len(batch)),
+		cols: make([]mesh.NodeKey, len(batch)),
+		slot: make([]int32, len(batch)),
+		row:  make([]int32, len(batch)),
+	}
+	for k := range batch {
+		ent := &batch[k]
+		row, ok := m.NodeIndex(ent.Row)
+		if !ok {
+			panic(fmt.Sprintf("fem: off-process row %v unknown on owner", ent.Row))
+		}
+		col, ok := m.NodeIndex(ent.Col)
+		if !ok {
+			panic(fmt.Sprintf("fem: off-process column %v unknown on rank %d", ent.Col, m.Comm.Rank()))
+		}
+		s := p.sp.FindSlot(row, col)
+		if s < 0 {
+			panic(fmt.Sprintf("fem: received block (%d,%d) missing from frozen sparsity", row, col))
+		}
+		rp.rows[k], rp.cols[k] = ent.Row, ent.Col
+		rp.slot[k], rp.row[k] = int32(s), int32(row)
+	}
 	p.recv[src] = rp
 	return rp
 }
@@ -267,60 +329,42 @@ func (rp *recvPlan) matches(batch []offProc) bool {
 	return true
 }
 
-func (a *Assembler) buildRecvPlan(p *AssemblyPlan, batch []offProc) *recvPlan {
-	nd := a.Ndof
-	rp := &recvPlan{
-		rows: make([]mesh.NodeKey, len(batch)),
-		cols: make([]mesh.NodeKey, len(batch)),
-		slot: make([]int32, len(batch)),
-		aux:  make([]int32, len(batch)),
-	}
-	for k := range batch {
-		ent := &batch[k]
-		rowNode, ok := a.M.NodeIndex(ent.Row)
-		if !ok {
-			panic(fmt.Sprintf("fem: off-process row %v unknown on owner", ent.Row))
-		}
-		colNode, ok := a.M.NodeIndex(ent.Col)
-		if !ok {
-			panic(fmt.Sprintf("fem: off-process column %v unknown on rank %d", ent.Col, a.M.Comm.Rank()))
-		}
-		rp.rows[k], rp.cols[k] = ent.Row, ent.Col
-		if p.scalar {
-			base, stride := aijSlot(p.sp, rowNode, colNode, nd)
-			rp.slot[k] = int32(base)
-			rp.aux[k] = int32(stride)
-		} else {
-			s := p.sp.FindSlot(rowNode, colNode)
-			if s < 0 {
-				panic(fmt.Sprintf("fem: received block (%d,%d) missing from frozen sparsity", rowNode, colNode))
-			}
-			rp.slot[k] = int32(s)
-		}
-	}
-	return rp
-}
-
 // apply accumulates a received batch through the cached slots. The
-// weights were folded in by the sender, so this is a plain add — the
-// same value stream the cold path produces via AddBlock/AddValue.
-func (rp *recvPlan) apply(vals []float64, batch []offProc, scalar bool, nd int) {
+// weights were folded in by the sender, so this is a plain add.
+func (rp *recvPlan) apply(vals []float64, batch []offProc, sp *la.Sparsity, scalar bool, nd int) {
 	bs2 := nd * nd
 	for k := range batch {
 		V := &batch[k].V
+		base, stride := int(rp.slot[k])*bs2, nd
 		if scalar {
-			base, stride := int(rp.slot[k]), int(rp.aux[k])
-			for di := 0; di < nd; di++ {
-				row := base + di*stride
-				for dj := 0; dj < nd; dj++ {
-					vals[row+dj] += V[di*nd+dj]
-				}
-			}
-		} else {
-			base := int(rp.slot[k]) * bs2
-			for i := 0; i < bs2; i++ {
-				vals[base+i] += V[i]
+			base, stride = aijBlock(sp, int(rp.row[k]), int(rp.slot[k]), nd)
+		}
+		for di := 0; di < nd; di++ {
+			dst := vals[base+di*stride : base+di*stride+nd]
+			for dj := range dst {
+				dst[dj] += V[di*nd+dj]
 			}
 		}
 	}
+}
+
+// aijBlock locates node block slot s (in block row r) in the scalar AIJ
+// expansion of the block pattern sp: the scalar slot of its first entry
+// and the stride between its dof rows (the scalar row length).
+func aijBlock(sp *la.Sparsity, r, s, nd int) (base, stride int) {
+	r0 := int(sp.Indptr[r])
+	stride = (int(sp.Indptr[r+1]) - r0) * nd
+	return r0*nd*nd + (s-r0)*nd, stride
+}
+
+// srcOrder returns indices of srcs in ascending source-rank order, so
+// received contributions are applied in a deterministic order regardless
+// of message arrival.
+func srcOrder(srcs []int) []int {
+	order := make([]int, len(srcs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool { return srcs[order[i]] < srcs[order[j]] })
+	return order
 }

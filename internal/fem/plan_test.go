@@ -6,10 +6,12 @@ import (
 	"testing"
 
 	"proteus/internal/la"
+	"proteus/internal/mesh"
 	"proteus/internal/par"
 )
 
-// planTestKernels builds deterministic, element-dependent ndof=2 kernels
+// planTestKernels builds deterministic ndof=2 kernels whose coefficient
+// depends on the element's position (so they are partition-invariant),
 // with per-worker scratch, so they are valid under the sharded element
 // loop and produce bit-identical elemental matrices on every invocation.
 func planTestKernels(asm *Assembler, nw int) (NodeMajorKernel, ZippedKernel) {
@@ -27,9 +29,13 @@ func planTestKernels(asm *Assembler, nw int) (NodeMajorKernel, ZippedKernel) {
 		}
 		ws[i].tmp = make([]float64, npe*npe)
 	}
+	coef := func(e int) float64 {
+		x, y, z := asm.M.ElemOrigin(e)
+		return 1 + x + 0.5*y + 0.25*z
+	}
 	loop := func(w, e int, h float64, ke []float64) {
 		sc := &ws[w]
-		c := 1 + 0.1*float64(e%7)
+		c := coef(e)
 		for _, b := range sc.blocks {
 			for i := range b {
 				b[i] = 0
@@ -43,7 +49,7 @@ func planTestKernels(asm *Assembler, nw int) (NodeMajorKernel, ZippedKernel) {
 	}
 	zipped := func(w, e int, h float64, blocks [][]float64) {
 		sc := &ws[w]
-		c := 1 + 0.1*float64(e%7)
+		c := coef(e)
 		wk := asm.WorkN(w)
 		r.MassGemm(wk, h, c, nil, blocks[0])
 		r.StiffGemm(wk, h, 1, nil, sc.tmp)
@@ -64,15 +70,93 @@ func assembleOnce(asm *Assembler, mat *la.BSRMat, layout Layout, loop NodeMajorK
 	}
 }
 
-// TestWarmAssemblyMatchesColdBitwise is the plan-correctness contract:
-// warm (plan-driven) reassembly must reproduce the first (COO-map based)
-// assembly bit for bit, for all three layouts, in 2D and 3D, on meshes
-// with hanging-node constraints, serially and across ranks (exercising
-// the prefilled off-process buffers and the receive-slot cache). Workers
-// are pinned to 1 because shard merging legitimately reorders floating-
-// point accumulation (see TestParallelWorkersMatchSerial).
+// refMatrix is the test oracle for matrix assembly on one rank: the plain
+// serial element / corner-pair / donor-pair scatter of a node-major
+// kernel, through the hanging constraints, into a COO-built BAIJ matrix.
+func refMatrix(m *mesh.Mesh, nd int, kern NodeMajorKernel) *la.BSRMat {
+	mat := la.NewBAIJ(m, nd, m.NumOwned, m.NumLocal)
+	cpe := m.CornersPerElem()
+	n := cpe * nd
+	ke := make([]float64, n*n)
+	blk := make([]float64, nd*nd)
+	for e := 0; e < m.NumElems(); e++ {
+		clear(ke)
+		kern(0, e, m.ElemSize(e), ke)
+		for ca := 0; ca < cpe; ca++ {
+			conA := &m.Conn[e*cpe+ca]
+			for cb := 0; cb < cpe; cb++ {
+				conB := &m.Conn[e*cpe+cb]
+				for i := 0; i < int(conA.N); i++ {
+					for j := 0; j < int(conB.N); j++ {
+						w := conA.W[i] * conB.W[j]
+						for di := 0; di < nd; di++ {
+							for dj := 0; dj < nd; dj++ {
+								blk[di*nd+dj] = w * ke[(ca*nd+di)*n+cb*nd+dj]
+							}
+						}
+						mat.AddBlock(int(conA.Idx[i]), int(conB.Idx[j]), blk)
+					}
+				}
+			}
+		}
+	}
+	mat.Finalize()
+	return mat
+}
+
+// unzipped adapts a zipped kernel to the node-major contract (worker 0).
+func unzipped(asm *Assembler, zk ZippedKernel) NodeMajorKernel {
+	npe, nd := asm.Ref.NPE, asm.Ndof
+	blocks := make([][]float64, nd*nd)
+	for i := range blocks {
+		blocks[i] = make([]float64, npe*npe)
+	}
+	return func(w, e int, h float64, ke []float64) {
+		for _, b := range blocks {
+			clear(b)
+		}
+		zk(0, e, h, blocks)
+		UnzipMat(nd, npe, blocks, ke)
+	}
+}
+
+// blockKey names a node block by its global (row, col) node keys.
+type blockKey struct{ Row, Col mesh.NodeKey }
+
+// nodeBlocks returns every stored node block of mat keyed by node keys,
+// reading scalar AIJ matrices through their per-dof entries.
+func nodeBlocks(m *mesh.Mesh, mat *la.BSRMat, nd int) map[blockKey][]float64 {
+	out := map[blockKey][]float64{}
+	sp, vals, bs := mat.Sparsity(), mat.Vals(), mat.Bs
+	for r := 0; r < sp.NRows; r++ {
+		for s := sp.Indptr[r]; s < sp.Indptr[r+1]; s++ {
+			c := int(sp.Cols[s])
+			for bi := 0; bi < bs; bi++ {
+				for bj := 0; bj < bs; bj++ {
+					row, col := r*bs+bi, c*bs+bj
+					k := blockKey{m.Keys[row/nd], m.Keys[col/nd]}
+					if out[k] == nil {
+						out[k] = make([]float64, nd*nd)
+					}
+					out[k][(row%nd)*nd+col%nd] = vals[int(s)*bs*bs+bi*bs+bj]
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestWarmAssemblyMatchesColdBitwise is the plan-correctness contract.
+// On one rank, plan-driven assembly — first and warm — must reproduce the
+// plain serial scatter (refMatrix) bit for bit, for all three layouts, in
+// 2D and 3D, on meshes with hanging-node constraints, with the plan's
+// connectivity-built pattern equal to the COO-built one. Across ranks
+// (exercising the prefilled off-process buffers and the receive-slot
+// cache) every node block must match the one-rank assembly to roundoff:
+// remote contributions arrive in a different order.
 func TestWarmAssemblyMatchesColdBitwise(t *testing.T) {
 	for _, dim := range []int{2, 3} {
+		serial := map[Layout]map[blockKey][]float64{}
 		for _, p := range []int{1, 3} {
 			for _, layout := range []Layout{LayoutAIJ, LayoutBAIJ, LayoutZipped} {
 				par.Run(p, func(c *par.Comm) {
@@ -81,100 +165,139 @@ func TestWarmAssemblyMatchesColdBitwise(t *testing.T) {
 						panic("plan test mesh has no hanging constraints")
 					}
 					asm := NewAssembler(m, 2)
-					asm.SetWorkers(1)
-					loop, zipped := planTestKernels(asm, 1)
-
-					mat := NewMatrix(m, 2, layout)
-					assembleOnce(asm, mat, layout, loop, zipped)
-					if asm.Plan(layout) == nil {
-						panic("cold assembly did not build a plan")
+					loop, zipped := planTestKernels(asm, asm.Workers())
+					mat := asm.NewMatrix(layout)
+					if asm.plan == nil || !mat.Finalized() {
+						panic("NewMatrix did not build the plan")
 					}
-					cold := append([]float64(nil), mat.Vals()...)
-
-					// Warm reassembly into the same matrix.
-					mat.Zero()
 					assembleOnce(asm, mat, layout, loop, zipped)
-					mustBitwise(c, "warm-reassembly", dim, p, layout, cold, mat.Vals())
+					got := nodeBlocks(m, mat, 2)
 
-					// A second matrix born from the plan's frozen pattern
-					// takes the warm path on its very first assembly.
+					// Warm reassembly into the same matrix, and into a second
+					// matrix sharing the frozen pattern.
+					assembleOnce(asm, mat, layout, loop, zipped)
+					mustSameBlocks(c, "warm-reassembly", dim, p, layout, got, nodeBlocks(m, mat, 2), 0)
 					mat2 := asm.NewMatrix(layout)
-					if !mat2.Finalized() || mat2.Sparsity() != mat.Sparsity() {
+					if mat2.Sparsity() != mat.Sparsity() {
 						panic("Assembler.NewMatrix did not share the frozen sparsity")
 					}
 					assembleOnce(asm, mat2, layout, loop, zipped)
-					mustBitwise(c, "fresh-shared-matrix", dim, p, layout, cold, mat2.Vals())
+					mustSameBlocks(c, "fresh-shared-matrix", dim, p, layout, got, nodeBlocks(m, mat2, 2), 0)
+
+					if p == 1 {
+						refKern := loop
+						if layout == LayoutZipped {
+							refKern = unzipped(asm, zipped)
+						}
+						ref := refMatrix(m, 2, refKern)
+						if err := sparsityEqual(asm.plan.sp, ref.Sparsity()); err != nil {
+							panic(fmt.Sprintf("dim=%d layout=%d: connectivity sparsity differs from COO: %v", dim, layout, err))
+						}
+						mustSameBlocks(c, "serial-reference", dim, p, layout, nodeBlocks(m, ref, 2), got, 0)
+						serial[layout] = got
+						return
+					}
+					type kv struct {
+						K blockKey
+						V [4]float64
+					}
+					var local []kv
+					for k, v := range got {
+						local = append(local, kv{K: k, V: [4]float64(v)})
+					}
+					all := map[blockKey][]float64{}
+					for _, e := range par.Allgatherv(c, local) {
+						all[e.K] = e.V[:]
+					}
+					mustSameBlocks(c, "ranks-vs-serial", dim, p, layout, serial[layout], all, 1e-13)
 				})
 			}
 		}
 	}
 }
 
-func mustBitwise(c *par.Comm, what string, dim, p int, layout Layout, want, got []float64) {
+// mustSameBlocks compares two node-block maps: bitwise when rtol == 0,
+// else to rtol relative to the largest entry of the block.
+func mustSameBlocks(c *par.Comm, what string, dim, p int, layout Layout, want, got map[blockKey][]float64, rtol float64) {
 	if len(want) != len(got) {
-		panic(fmt.Sprintf("%s dim=%d p=%d layout=%d: value count %d != %d", what, dim, p, layout, len(got), len(want)))
+		panic(fmt.Sprintf("%s dim=%d p=%d layout=%d: block count %d != %d", what, dim, p, layout, len(got), len(want)))
 	}
-	for i := range want {
-		if want[i] != got[i] {
-			panic(fmt.Sprintf("%s dim=%d p=%d layout=%d rank=%d: vals[%d] = %v, cold %v (diff %g)",
-				what, dim, p, layout, c.Rank(), i, got[i], want[i], got[i]-want[i]))
+	for k, wv := range want {
+		gv, ok := got[k]
+		if !ok {
+			panic(fmt.Sprintf("%s dim=%d p=%d layout=%d: block %v missing", what, dim, p, layout, k))
+		}
+		scale := 0.0
+		for _, v := range wv {
+			scale = math.Max(scale, math.Abs(v))
+		}
+		for i := range wv {
+			if d := math.Abs(gv[i] - wv[i]); d > rtol*scale || (rtol == 0 && gv[i] != wv[i]) {
+				panic(fmt.Sprintf("%s dim=%d p=%d layout=%d rank=%d: block %v[%d] = %v, want %v (diff %g)",
+					what, dim, p, layout, c.Rank(), k, i, gv[i], wv[i], gv[i]-wv[i]))
+			}
 		}
 	}
 }
 
-// TestParallelWorkersMatchSerial checks the sharded element loop: the
-// merged per-worker accumulation must agree with the serial warm path to
-// roundoff (shard merging reorders the additions, so equality is to a
-// tolerance, not bitwise).
+// TestParallelWorkersMatchSerial checks the sharded element loop and
+// gather: every worker count must reproduce the one-worker values bit for
+// bit (the gather sums each entry in traversal order), in 2D and 3D, on
+// one and three ranks, for all three layouts.
 func TestParallelWorkersMatchSerial(t *testing.T) {
-	for _, layout := range []Layout{LayoutBAIJ, LayoutZipped, LayoutAIJ} {
-		par.Run(1, func(c *par.Comm) {
-			m := buildMesh(c, 2, 2, 4)
-			asm := NewAssembler(m, 2)
-			asm.SetWorkers(1)
-			loop, zipped := planTestKernels(asm, 4)
-
-			mat := NewMatrix(m, 2, layout)
-			assembleOnce(asm, mat, layout, loop, zipped) // cold
-			mat.Zero()
-			assembleOnce(asm, mat, layout, loop, zipped) // warm serial
-			serial := append([]float64(nil), mat.Vals()...)
-
-			asm.SetWorkers(4)
-			mat.Zero()
-			assembleOnce(asm, mat, layout, loop, zipped) // warm sharded
-			got := mat.Vals()
-			for i := range serial {
-				diff := math.Abs(serial[i] - got[i])
-				tol := 1e-12 * (1 + math.Abs(serial[i]))
-				if diff > tol {
-					panic(fmt.Sprintf("layout=%d vals[%d]: serial %v parallel %v", layout, i, serial[i], got[i]))
-				}
+	for _, dim := range []int{2, 3} {
+		for _, p := range []int{1, 3} {
+			for _, layout := range []Layout{LayoutBAIJ, LayoutZipped, LayoutAIJ} {
+				par.Run(p, func(c *par.Comm) {
+					m := buildMesh(c, dim, 2, 4)
+					asm := NewAssembler(m, 2)
+					loop, zipped := planTestKernels(asm, 4)
+					mat := asm.NewMatrix(layout)
+					var serial []float64
+					for _, nw := range []int{1, 2, 3, 4} {
+						asm.SetWorkers(nw)
+						assembleOnce(asm, mat, layout, loop, zipped)
+						if nw == 1 {
+							serial = append([]float64(nil), mat.Vals()...)
+							continue
+						}
+						for i, v := range mat.Vals() {
+							if v != serial[i] {
+								panic(fmt.Sprintf("dim=%d p=%d layout=%d nw=%d rank=%d vals[%d]: serial %v sharded %v",
+									dim, p, layout, nw, c.Rank(), i, serial[i], v))
+							}
+						}
+					}
+				})
 			}
-		})
+		}
 	}
 }
 
-// TestWarmAssemblyZeroAllocs verifies the acceptance criterion that the
-// steady-state element loop performs no map operations and no per-element
-// heap allocation: a whole warm reassembly allocates nothing.
+// TestWarmAssemblyZeroAllocs verifies that the steady-state element loop
+// and gather perform no map operations and no heap allocation: a whole
+// warm reassembly allocates nothing, serially and sharded on a pool.
 func TestWarmAssemblyZeroAllocs(t *testing.T) {
-	for _, layout := range []Layout{LayoutBAIJ, LayoutZipped, LayoutAIJ} {
-		var allocs float64
-		par.Run(1, func(c *par.Comm) {
-			m := buildMesh(c, 2, 2, 4)
-			asm := NewAssembler(m, 2)
-			asm.SetWorkers(1)
-			loop, zipped := planTestKernels(asm, 1)
-			mat := NewMatrix(m, 2, layout)
-			assembleOnce(asm, mat, layout, loop, zipped) // cold: builds the plan
-			allocs = testing.AllocsPerRun(10, func() {
-				mat.Zero()
+	for _, nw := range []int{1, 2} {
+		for _, layout := range []Layout{LayoutBAIJ, LayoutZipped, LayoutAIJ} {
+			var allocs float64
+			par.Run(1, func(c *par.Comm) {
+				m := buildMesh(c, 2, 2, 4)
+				asm := NewAssembler(m, 2)
+				asm.SetWorkers(nw)
+				pool := par.NewPool(nw)
+				defer pool.Close()
+				asm.SetPool(pool)
+				loop, zipped := planTestKernels(asm, nw)
+				mat := asm.NewMatrix(layout)
 				assembleOnce(asm, mat, layout, loop, zipped)
+				allocs = testing.AllocsPerRun(10, func() {
+					assembleOnce(asm, mat, layout, loop, zipped)
+				})
 			})
-		})
-		if allocs != 0 {
-			t.Fatalf("layout=%d: warm assembly allocates %v times per run, want 0", layout, allocs)
+			if allocs != 0 {
+				t.Fatalf("nw=%d layout=%d: warm assembly allocates %v times per run, want 0", nw, layout, allocs)
+			}
 		}
 	}
 }

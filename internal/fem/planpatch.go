@@ -1,16 +1,18 @@
-// Incremental assembly-plan repair: RebindPatched moves the assembler to
-// a patched mesh (mesh.Patch) without discarding the frozen sparsity and
-// plans. Clean rows — nodes the remesh did not touch — keep their column
-// pattern (remapped through the mesh delta); only dirty rows are
-// recomputed, from one flat sweep of the new constraint table plus an NBX
-// of the off-process couplings. The patched pattern is exactly the
-// pattern a cold assembly on the new mesh would freeze, so plan-driven
-// reassembly after RebindPatched is bitwise identical to the
-// cold-then-warm path at any rank and worker count.
+// Plan construction from mesh connectivity, and its incremental repair:
+// RebindPatched moves the assembler to a patched mesh (mesh.Patch)
+// without rebuilding the plans from nothing. Clean rows — nodes the remesh
+// did not touch — keep their column pattern (remapped through the mesh
+// delta); only dirty rows are recomputed, from one flat sweep of the new
+// constraint table plus an NBX of the off-process couplings. A
+// from-scratch build is the same route with every row dirty, so the
+// repaired plan is exactly the plan a fresh build on the new mesh makes,
+// and assembly after RebindPatched is bitwise identical to it at any rank
+// and worker count.
 package fem
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"proteus/internal/la"
@@ -24,80 +26,28 @@ type nodePair struct {
 	Row, Col mesh.NodeKey
 }
 
-// nodePattern reads the node-level (block) column pattern of an old plan,
-// whether it was frozen in block form or as scalar AIJ (where every node
-// block expands to nd x nd scalar entries; aijSlot verified the
-// block-regular layout at plan build, so reading every nd-th column of
-// the node's first scalar row recovers the node pattern).
-type nodePattern struct {
-	sp *la.Sparsity
-	nd int // 1: sp is the block pattern; else sp is scalar with stride nd
-}
-
-func (np nodePattern) rowLen(r int) int {
-	if np.nd == 1 {
-		return np.sp.RowLen(r)
-	}
-	return np.sp.RowLen(r*np.nd) / np.nd
-}
-
-func (np nodePattern) col(r, k int) int32 {
-	if np.nd == 1 {
-		return np.sp.Cols[int(np.sp.Indptr[r])+k]
-	}
-	return np.sp.Cols[int(np.sp.Indptr[r*np.nd])+k*np.nd] / int32(np.nd)
-}
-
 // RebindPatched points the assembler at a patched mesh generation,
 // repairing the cached plans in place of the full invalidation Rebind
 // performs. epoch is recorded directly (SetEpoch would invalidate).
-// Collective when any rank holds a plan: the dirty-row patterns need the
-// off-process couplings of the new mesh, which every rank contributes
-// from its own constraint table regardless of whether it has plans to
-// repair.
+// Collective when any rank holds a matrix plan: the dirty-row patterns
+// need the off-process couplings of the new mesh, which every rank
+// contributes from its own constraint table.
 func (a *Assembler) RebindPatched(m *mesh.Mesh, epoch uint64, d *mesh.Delta) {
 	if m.Dim != a.M.Dim {
 		panic("fem: Assembler.RebindPatched across dimensions")
 	}
-	oldPlans := a.plans
-	oldVec := a.vplan
-	a.M = m
-	a.epoch = epoch
-	a.off.clear()
-	a.plans[0], a.plans[1] = nil, nil
-	a.vplan = nil
-
-	havePlans := oldPlans[0] != nil || oldPlans[1] != nil
-	anyPlans := havePlans
+	old, oldVec := a.plan, a.vplan
+	a.M, a.epoch = m, epoch
+	a.plan, a.vplan = nil, nil
+	anyPlan := old != nil
 	if m.Comm.Size() > 1 {
-		anyPlans = par.Allreduce(m.Comm, havePlans, func(x, y bool) bool { return x || y })
+		anyPlan = par.Allreduce(m.Comm, anyPlan, func(x, y bool) bool { return x || y })
 	}
-	if anyPlans {
-		pairs := a.dirtyRowPairs(d)
-		if havePlans {
-			var src nodePattern
-			if oldPlans[1] != nil {
-				src = nodePattern{sp: oldPlans[1].sp, nd: 1}
-			} else {
-				src = nodePattern{sp: oldPlans[0].sp, nd: a.Ndof}
-			}
-			oldOf := invertRemap(d.NodeRemap, m.NumLocal)
-			blockSp := patchNodeSparsity(m, src, d, oldOf, pairs)
-			if oldPlans[1] != nil {
-				a.plans[1] = a.patchPlan(oldPlans[1], d, oldOf, blockSp)
-			}
-			if oldPlans[0] != nil {
-				a.plans[0] = a.patchPlan(oldPlans[0], d, oldOf, expandScalarSparsity(blockSp, a.Ndof))
-			}
-		}
+	if anyPlan {
+		a.plan = a.buildPlan(old, d)
 	}
 	if oldVec != nil {
-		// The vector plan's slots are a dense prefix sum over the element
-		// traversal, so any insertion renumbers every later slot: a
-		// per-element delta cannot beat the two linear search-free passes
-		// of the builder. "Patching" it means rebuilding into the old
-		// plan's allocations (zero-alloc on partition-stable rounds).
-		a.vplan = a.rebuildVecPlanInto(oldVec)
+		a.vplan = a.buildVecPlan(oldVec)
 	}
 }
 
@@ -116,16 +66,17 @@ func invertRemap(remap []int32, newLocal int) []int32 {
 	return inv
 }
 
-// dirtyRowPairs sweeps the new constraint table once, collecting every
-// coupling whose row is an owned dirty node (packed row<<32|col, sorted,
-// deduplicated) and exchanging the off-process couplings so the owners
-// see the contributions remote elements will send during assembly — the
-// same pair set the cold path's off-process flush inserts. Collective
-// when the communicator has more than one rank.
-func (a *Assembler) dirtyRowPairs(d *mesh.Delta) []int64 {
+// dirtyRowPairs sweeps the constraint table once, collecting every
+// coupling whose row is an owned dirty node (packed row<<32|col, in no
+// particular order, duplicates kept) and exchanging the off-process
+// couplings so the owners see the contributions remote elements will send
+// during assembly. dirty == nil marks every row dirty. Collective when the
+// communicator has more than one rank.
+func (a *Assembler) dirtyRowPairs(dirty []bool) []int64 {
 	m := a.M
 	me := int32(m.Comm.Rank())
 	cpe := m.CornersPerElem()
+	isDirty := func(r int) bool { return dirty == nil || dirty[r] }
 	var pairs []int64
 	type destBuf struct {
 		seen map[nodePair]bool
@@ -143,7 +94,7 @@ func (a *Assembler) dirtyRowPairs(d *mesh.Delta) []int64 {
 				for i := 0; i < int(conA.N); i++ {
 					rowNode := int(conA.Idx[i])
 					owner := m.Owner[rowNode]
-					if owner == me && !d.DirtyNode[rowNode] {
+					if owner == me && !isDirty(rowNode) {
 						continue
 					}
 					for j := 0; j < int(conB.N); j++ {
@@ -185,80 +136,79 @@ func (a *Assembler) dirtyRowPairs(d *mesh.Delta) []int64 {
 			for _, np := range recvd[bi] {
 				rowNode, ok := m.NodeIndex(np.Row)
 				if !ok {
-					panic(fmt.Sprintf("fem: patched off-process row %v unknown on owner", np.Row))
+					panic(fmt.Sprintf("fem: off-process row %v unknown on owner", np.Row))
 				}
 				colNode, ok := m.NodeIndex(np.Col)
 				if !ok {
-					panic(fmt.Sprintf("fem: patched off-process column %v unknown on rank %d", np.Col, c.Rank()))
+					panic(fmt.Sprintf("fem: off-process column %v unknown on rank %d", np.Col, c.Rank()))
 				}
-				if d.DirtyNode[rowNode] {
+				if isDirty(rowNode) {
 					pairs = append(pairs, int64(rowNode)<<32|int64(colNode))
 				}
 			}
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i] < pairs[j] })
-	out := pairs[:0]
-	for i, p := range pairs {
-		if i == 0 || p != pairs[i-1] {
-			out = append(out, p)
-		}
-	}
-	return out
+	return pairs
 }
 
-// patchNodeSparsity assembles the node-block pattern of the patched mesh:
-// clean owned rows keep the old row remapped through the delta (the delta
+// patchNodeSparsity assembles the node-block pattern of nr owned rows:
+// dirty rows take their sorted, deduplicated pairs; with an old pattern,
+// clean rows keep their old row remapped through the delta (the delta
 // guarantees a clean row's columns keep their relative order under the
-// remap, so they stay sorted); dirty rows
-// take their sorted, deduplicated pair runs. The result is exactly the
-// pattern a cold assembly would freeze — clean rows receive no remote
-// contributions (they are never exchange targets, or they would be dirty)
-// and couple only to surviving elements, whose couplings remap one for
-// one; dirty rows were recomputed from every local and remote coupling.
-func patchNodeSparsity(m *mesh.Mesh, src nodePattern, d *mesh.Delta, oldOf []int32, pairs []int64) *la.Sparsity {
-	nr := m.NumOwned
-	sp := &la.Sparsity{NRows: nr, Indptr: make([]int32, nr+1)}
-	rowStart := make([]int32, nr)
-	pi := 0
-	total := 0
+// remap, so they stay sorted). dirty == nil marks every row dirty. A
+// clean row receives no remote contributions (it is never an exchange
+// target, or it would be dirty) and couples only to surviving elements,
+// whose couplings remap one for one, so the result is exactly the pattern
+// of a from-scratch build.
+func patchNodeSparsity(nr int, old *la.Sparsity, dirty []bool, d *mesh.Delta, oldOf []int32, pairs []int64) *la.Sparsity {
+	// Bucket the pairs by row (counting sort), then sort and deduplicate
+	// each row's columns in place.
+	start := make([]int32, nr+1)
+	for _, p := range pairs {
+		start[p>>32+1]++
+	}
 	for r := 0; r < nr; r++ {
-		if d.DirtyNode[r] {
-			rowStart[r] = int32(pi)
-			for pi < len(pairs) && int(pairs[pi]>>32) == r {
-				pi++
+		start[r+1] += start[r]
+	}
+	cols := make([]int32, len(pairs))
+	fill := slices.Clone(start[:nr])
+	for _, p := range pairs {
+		r := p >> 32
+		cols[fill[r]] = int32(p & 0xffffffff)
+		fill[r]++
+	}
+	sp := &la.Sparsity{NRows: nr, Indptr: make([]int32, nr+1)}
+	for r := 0; r < nr; r++ {
+		c := cols[start[r]:start[r+1]]
+		slices.Sort(c)
+		n := len(slices.Compact(c))
+		if dirty != nil && !dirty[r] {
+			if n != 0 {
+				panic("fem: dirty-row pairs reference an unflagged row")
 			}
-			total += pi - int(rowStart[r])
-		} else {
 			or := oldOf[r]
 			if or < 0 {
 				panic("fem: clean patched row has no old counterpart")
 			}
-			total += src.rowLen(int(or))
+			n = old.RowLen(int(or))
 		}
-		sp.Indptr[r+1] = int32(total)
+		fill[r] = int32(n)
+		sp.Indptr[r+1] = sp.Indptr[r] + int32(n)
 	}
-	if pi != len(pairs) {
-		panic("fem: dirty-row pairs reference a ghost or unflagged row")
-	}
-	sp.Cols = make([]int32, total)
-	idx := 0
+	sp.Cols = make([]int32, sp.Indptr[nr])
 	for r := 0; r < nr; r++ {
-		if d.DirtyNode[r] {
-			for k := int(rowStart[r]); k < len(pairs) && int(pairs[k]>>32) == r; k++ {
-				sp.Cols[idx] = int32(pairs[k] & 0xffffffff)
-				idx++
-			}
+		dst := sp.Cols[sp.Indptr[r]:sp.Indptr[r+1]]
+		if dirty == nil || dirty[r] {
+			copy(dst, cols[start[r]:start[r]+fill[r]])
 			continue
 		}
-		or := int(oldOf[r])
-		for k, n := 0, src.rowLen(or); k < n; k++ {
-			nc := d.NodeRemap[src.col(or, k)]
+		oc := old.Cols[old.Indptr[oldOf[r]]:]
+		for k := range dst {
+			nc := d.NodeRemap[oc[k]]
 			if nc < 0 {
 				panic("fem: clean patched row references a dropped node")
 			}
-			sp.Cols[idx] = nc
-			idx++
+			dst[k] = nc
 		}
 	}
 	return sp
@@ -267,7 +217,7 @@ func patchNodeSparsity(m *mesh.Mesh, src nodePattern, d *mesh.Delta, oldOf []int
 // expandScalarSparsity expands a node-block pattern to the scalar AIJ
 // pattern: every block row becomes nd identical-pattern scalar rows,
 // every block column nd consecutive scalar columns — the block-regular
-// layout aijSlot expects.
+// layout aijBlock addresses.
 func expandScalarSparsity(b *la.Sparsity, nd int) *la.Sparsity {
 	nr := b.NRows * nd
 	sp := &la.Sparsity{NRows: nr, Indptr: make([]int32, nr+1)}
@@ -291,200 +241,4 @@ func expandScalarSparsity(b *la.Sparsity, nd int) *la.Sparsity {
 		}
 	}
 	return sp
-}
-
-// patchPlan rebuilds one assembly plan against the patched sparsity,
-// reusing the old plan's resolved slots wherever it can: an entry of a
-// clean element whose row node is clean keeps its offset within the row
-// (the row's columns remapped positionally), so its new slot is two
-// index-pointer reads — no binary search. Only entries of dirty elements
-// or into dirty rows re-resolve against the pattern, and the off-process
-// routing is rebuilt (it is surface-sized). The resulting plan is
-// identical to what buildPlan would produce on the new mesh: same
-// traversal, same weights, same slots (the patterns are equal), same
-// rank-major off-process store.
-func (a *Assembler) patchPlan(op *AssemblyPlan, d *mesh.Delta, oldOf []int32, sp *la.Sparsity) *AssemblyPlan {
-	m := a.M
-	nd := a.Ndof
-	cpe := m.CornersPerElem()
-	me := int32(m.Comm.Rank())
-	nE := m.NumElems()
-	oldSp := op.sp
-	plan := &AssemblyPlan{ndof: nd, scalar: op.scalar, sp: sp}
-
-	plan.elemOff = make([]int32, nE+1)
-	total := 0
-	for e := 0; e < nE; e++ {
-		for ca := 0; ca < cpe; ca++ {
-			na := int(m.Conn[e*cpe+ca].N)
-			for cb := 0; cb < cpe; cb++ {
-				total += na * int(m.Conn[e*cpe+cb].N)
-			}
-		}
-		plan.elemOff[e+1] = int32(total)
-	}
-	plan.entries = make([]planEntry, total)
-
-	type offTmp struct {
-		entry    int32
-		rank     int32
-		pos      int32
-		row, col mesh.NodeKey
-	}
-	var offs []offTmp
-	rankCount := map[int]int{}
-	idx := 0
-	for e := 0; e < nE; e++ {
-		oe := d.OldElem[e]
-		clean := oe >= 0
-		var oldIdx int32
-		if clean {
-			oldIdx = op.elemOff[oe]
-		}
-		for ca := 0; ca < cpe; ca++ {
-			conA := &m.Conn[e*cpe+ca]
-			for cb := 0; cb < cpe; cb++ {
-				conB := &m.Conn[e*cpe+cb]
-				for i := 0; i < int(conA.N); i++ {
-					rowNode := int(conA.Idx[i])
-					wi := conA.W[i]
-					for j := 0; j < int(conB.N); j++ {
-						colNode := int(conB.Idx[j])
-						ent := &plan.entries[idx]
-						ent.w = wi * conB.W[j]
-						switch {
-						case m.Owner[rowNode] != me:
-							r := int(m.Owner[rowNode])
-							pos := rankCount[r]
-							rankCount[r] = pos + 1
-							offs = append(offs, offTmp{
-								entry: int32(idx), rank: int32(r), pos: int32(pos),
-								row: m.Keys[rowNode], col: m.Keys[colNode],
-							})
-						case clean && !d.DirtyNode[rowNode]:
-							// Clean row of a clean element: the old entry
-							// at the same traversal position resolved the
-							// same (row, col); carry its offset within the
-							// row over to the patched pattern.
-							oent := &op.entries[oldIdx]
-							if oent.slot < 0 {
-								panic("fem: clean patched entry was off-process in the old plan")
-							}
-							if plan.scalar {
-								or0 := int(oldOf[rowNode]) * nd
-								r0 := rowNode * nd
-								ent.slot = sp.Indptr[r0] + (oent.slot - oldSp.Indptr[or0])
-								ent.aux = sp.Indptr[r0+1] - sp.Indptr[r0]
-							} else {
-								ent.slot = sp.Indptr[rowNode] + (oent.slot - oldSp.Indptr[oldOf[rowNode]])
-							}
-						case plan.scalar:
-							base, stride := aijSlot(sp, rowNode, colNode, nd)
-							ent.slot = int32(base)
-							ent.aux = int32(stride)
-						default:
-							s := sp.FindSlot(rowNode, colNode)
-							if s < 0 {
-								panic(fmt.Sprintf("fem: patched block (%d,%d) missing from repaired sparsity", rowNode, colNode))
-							}
-							ent.slot = int32(s)
-						}
-						idx++
-						if clean {
-							oldIdx++
-						}
-					}
-				}
-			}
-		}
-	}
-
-	plan.offDests = make([]int, 0, len(rankCount))
-	for r := range rankCount {
-		plan.offDests = append(plan.offDests, r)
-	}
-	sort.Ints(plan.offDests)
-	rankStart := make(map[int]int, len(rankCount))
-	totalOff := 0
-	for _, r := range plan.offDests {
-		rankStart[r] = totalOff
-		totalOff += rankCount[r]
-	}
-	plan.offStore = make([]offProc, totalOff)
-	plan.offBufs = make([][]offProc, len(plan.offDests))
-	for i, r := range plan.offDests {
-		plan.offBufs[i] = plan.offStore[rankStart[r] : rankStart[r]+rankCount[r]]
-	}
-	for _, o := range offs {
-		flat := rankStart[int(o.rank)] + int(o.pos)
-		plan.offStore[flat].Row = o.row
-		plan.offStore[flat].Col = o.col
-		plan.entries[o.entry].slot = ^int32(flat)
-	}
-	return plan
-}
-
-// rebuildVecPlanInto runs buildVecPlan's two passes into the old plan's
-// allocations when their capacity suffices, so a remesh round that does
-// not grow the local element set rebuilds the vector plan without
-// allocating.
-func (a *Assembler) rebuildVecPlanInto(old *VecPlan) *VecPlan {
-	m := a.M
-	cpe := m.CornersPerElem()
-	nE := m.NumElems()
-	p := &VecPlan{ndof: a.Ndof}
-
-	p.elemOff = fitInt32(old.elemOff, nE+1)
-	counts := fitInt32(old.gatherOff, m.NumLocal+1)
-	for i := range counts {
-		counts[i] = 0
-	}
-	total := 0
-	for e := 0; e < nE; e++ {
-		p.elemOff[e] = int32(total)
-		for c := 0; c < cpe; c++ {
-			con := &m.Conn[e*cpe+c]
-			total += int(con.N)
-			for k := 0; k < int(con.N); k++ {
-				counts[con.Idx[k]+1]++
-			}
-		}
-	}
-	p.elemOff[nE] = int32(total)
-	p.store = fitFloat64(old.store, total*a.Ndof)
-	p.gatherOff = counts
-	for i := 0; i < m.NumLocal; i++ {
-		p.gatherOff[i+1] += p.gatherOff[i]
-	}
-
-	p.gatherSlot = fitInt32(old.gatherSlot, total)
-	fill := make([]int32, m.NumLocal)
-	copy(fill, p.gatherOff[:m.NumLocal])
-	slot := int32(0)
-	for e := 0; e < nE; e++ {
-		for c := 0; c < cpe; c++ {
-			con := &m.Conn[e*cpe+c]
-			for k := 0; k < int(con.N); k++ {
-				i := con.Idx[k]
-				p.gatherSlot[fill[i]] = slot
-				fill[i]++
-				slot++
-			}
-		}
-	}
-	return p
-}
-
-func fitInt32(s []int32, n int) []int32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int32, n)
-}
-
-func fitFloat64(s []float64, n int) []float64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]float64, n)
 }

@@ -80,96 +80,90 @@ func tryPatchedPair(c *par.Comm, dim int, seed int64) (*mesh.Mesh, *mesh.Mesh, *
 
 // TestRebindPatchedMatchesColdBitwise is the fem-layer headline
 // invariant: after a mesh patch, the repaired sparsity and plans must
-// equal what a cold assembly on the patched mesh freezes, and plan-driven
-// assembly through them must reproduce the cold values bit for bit — for
-// all three layouts, serially and across ranks, with hanging constraints
-// in the dirty region.
+// equal what a fresh build from the patched mesh's connectivity makes,
+// and assembly through them must reproduce the fresh plan's values bit
+// for bit — for all three layouts, serially and across ranks, with
+// hanging constraints in the dirty region.
 func TestRebindPatchedMatchesColdBitwise(t *testing.T) {
 	for _, dim := range []int{2, 3} {
 		for _, p := range []int{1, 2, 4} {
 			for _, layout := range []Layout{LayoutAIJ, LayoutBAIJ, LayoutZipped} {
 				par.Run(p, func(c *par.Comm) {
 					old, patched, delta, scratch := patchedPair(c, dim, int64(3+p))
-
-					asm := NewAssembler(old, 2)
-					asm.SetWorkers(1)
-					loop, zipped := planTestKernels(asm, 1)
-					mat := NewMatrix(old, 2, layout)
-					assembleOnce(asm, mat, layout, loop, zipped) // freeze old plan
-					vold := make([]float64, old.NumLocal*2)
-					asm.AssembleVectorPlanned(vold, func(w, e int, h float64, fe []float64) {
-						for i := range fe {
-							fe[i] = h * float64(e%5+1)
-						}
-					})
-
-					asm.RebindPatched(patched, asm.Epoch()+1, delta)
-					pp := asm.Plan(layout)
-					if pp == nil {
-						panic("RebindPatched dropped the plan")
-					}
-
-					// Cold reference on a from-scratch mesh over the same
-					// forest (bitwise identical to `patched` by the mesh
-					// patch invariant).
-					ref := NewAssembler(scratch, 2)
-					ref.SetWorkers(1)
-					rloop, rzipped := planTestKernels(ref, 1)
-					rmat := NewMatrix(scratch, 2, layout)
-					assembleOnce(ref, rmat, layout, rloop, rzipped)
-					rp := ref.Plan(layout)
-
-					if err := sparsityEqual(pp.sp, rp.sp); err != nil {
-						panic(fmt.Sprintf("dim=%d p=%d layout=%d rank=%d: patched sparsity: %v", dim, p, layout, c.Rank(), err))
-					}
-					if len(pp.entries) != len(rp.entries) {
-						panic(fmt.Sprintf("dim=%d p=%d layout=%d: entries %d vs cold %d", dim, p, layout, len(pp.entries), len(rp.entries)))
-					}
-					for i := range pp.entries {
-						if pp.entries[i] != rp.entries[i] {
-							panic(fmt.Sprintf("dim=%d p=%d layout=%d rank=%d: entry %d = %+v, cold %+v",
-								dim, p, layout, c.Rank(), i, pp.entries[i], rp.entries[i]))
-						}
-					}
-					if len(pp.offStore) != len(rp.offStore) {
-						panic(fmt.Sprintf("dim=%d p=%d layout=%d: off-proc store %d vs cold %d", dim, p, layout, len(pp.offStore), len(rp.offStore)))
-					}
-					for i := range pp.offStore {
-						if pp.offStore[i].Row != rp.offStore[i].Row || pp.offStore[i].Col != rp.offStore[i].Col {
-							panic(fmt.Sprintf("dim=%d p=%d layout=%d: off-proc key %d differs", dim, p, layout, i))
-						}
-					}
-
-					// Warm assembly through the patched plan: the matrix is
-					// born finalized from the repaired sparsity and the
-					// values must equal the cold reference bitwise.
-					mat2 := asm.NewMatrix(layout)
-					if !mat2.Finalized() || mat2.Sparsity() != pp.sp {
-						panic("patched NewMatrix did not share the repaired sparsity")
-					}
-					assembleOnce(asm, mat2, layout, loop, zipped)
-					mustBitwise(c, "patched-warm", dim, p, layout, rmat.Vals(), mat2.Vals())
-
-					// Patched vector plan: same contract against the serial
-					// reference path on the patched mesh.
 					vk := func(w, e int, h float64, fe []float64) {
 						for i := range fe {
 							fe[i] = h * float64(e%5+1)
 						}
 					}
+
+					asm := NewAssembler(old, 2)
+					loop, zipped := planTestKernels(asm, asm.Workers())
+					assembleOnce(asm, asm.NewMatrix(layout), layout, loop, zipped) // freeze old plan
+					asm.AssembleVectorPlanned(make([]float64, old.NumLocal*2), vk)
+
+					asm.RebindPatched(patched, asm.Epoch()+1, delta)
+					pp := asm.plan
+					if pp == nil {
+						panic("RebindPatched dropped the plan")
+					}
+
+					// Reference: a fresh plan from the connectivity of a
+					// from-scratch mesh over the same forest (bitwise identical
+					// to `patched` by the mesh patch invariant).
+					ref := NewAssembler(scratch, 2)
+					rloop, rzipped := planTestKernels(ref, ref.Workers())
+					rmat := ref.NewMatrix(layout)
+					assembleOnce(ref, rmat, layout, rloop, rzipped)
+					rp := ref.plan
+
+					where := fmt.Sprintf("dim=%d p=%d layout=%d rank=%d", dim, p, layout, c.Rank())
+					if err := sparsityEqual(pp.sp, rp.sp); err != nil {
+						panic(fmt.Sprintf("%s: patched sparsity: %v", where, err))
+					}
+					mustEqualSlice(where+" slots", pp.slots, rp.slots)
+					mustEqualSlice(where+" gather offsets", pp.off, rp.off)
+					mustEqualSlice(where+" gather sources", pp.src, rp.src)
+					mustEqualSlice(where+" gather weight indices", pp.wi, rp.wi)
+					mustEqualSlice(where+" gather weights", pp.wt, rp.wt)
+					mustEqualSlice(where+" off-proc sources", pp.offSrc, rp.offSrc)
+					if len(pp.offStore) != len(rp.offStore) {
+						panic(fmt.Sprintf("%s: off-proc store %d vs fresh %d", where, len(pp.offStore), len(rp.offStore)))
+					}
+					for i := range pp.offStore {
+						if pp.offStore[i].Row != rp.offStore[i].Row || pp.offStore[i].Col != rp.offStore[i].Col {
+							panic(fmt.Sprintf("%s: off-proc key %d differs", where, i))
+						}
+					}
+
+					// Assembly through the patched plan must equal the fresh
+					// plan's values bitwise.
+					mat2 := asm.NewMatrix(layout)
+					if layout != LayoutAIJ && mat2.Sparsity() != pp.sp {
+						panic("patched NewMatrix did not share the repaired sparsity")
+					}
+					assembleOnce(asm, mat2, layout, loop, zipped)
+					mustEqualSlice(where+" patched values", mat2.Vals(), rmat.Vals())
+
+					// Patched vector plan: same contract against a fresh
+					// vector plan on the from-scratch mesh.
 					vgot := make([]float64, patched.NumLocal*2)
 					asm.AssembleVectorPlanned(vgot, vk)
 					vwant := make([]float64, patched.NumLocal*2)
-					ref.AssembleVector(vwant, func(e int, h float64, fe []float64) { vk(0, e, h, fe) })
-					for i := range vwant {
-						if vwant[i] != vgot[i] {
-							panic(fmt.Sprintf("dim=%d p=%d rank=%d: patched vector[%d] = %v, reference %v",
-								dim, p, c.Rank(), i, vgot[i], vwant[i]))
-						}
-					}
-					_ = vold
+					ref.AssembleVectorPlanned(vwant, vk)
+					mustEqualSlice(where+" patched vector", vgot, vwant)
 				})
 			}
+		}
+	}
+}
+
+func mustEqualSlice[T comparable](what string, got, want []T) {
+	if len(got) != len(want) {
+		panic(fmt.Sprintf("%s: length %d != %d", what, len(got), len(want)))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			panic(fmt.Sprintf("%s: [%d] = %v, want %v", what, i, got[i], want[i]))
 		}
 	}
 }
@@ -194,30 +188,29 @@ func sparsityEqual(a, b *la.Sparsity) error {
 	return nil
 }
 
-// TestRebindPatchedNoPlans: rebinding with no frozen plans must behave
-// like Rebind (next assembly runs cold) and still participate in the
-// collective exchange correctly when other ranks do hold plans is covered
-// above; here the serial no-plan path.
+// TestRebindPatchedNoPlans: rebinding an assembler that holds no plans
+// must not invent any (every rank agrees there is nothing to repair), and
+// the next NewMatrix builds one from the patched mesh's connectivity.
 func TestRebindPatchedNoPlans(t *testing.T) {
 	par.Run(1, func(c *par.Comm) {
 		old, patched, delta, _ := patchedPair(c, 2, 11)
 		asm := NewAssembler(old, 2)
 		asm.RebindPatched(patched, 1, delta)
-		if asm.Plan(LayoutBAIJ) != nil || asm.Plan(LayoutAIJ) != nil || asm.VecPlan() != nil {
+		if asm.plan != nil || asm.vplan != nil {
 			panic("RebindPatched invented plans from nothing")
 		}
-		loop, zipped := planTestKernels(asm, 1)
-		mat := NewMatrix(patched, 2, LayoutBAIJ)
-		assembleOnce(asm, mat, LayoutBAIJ, loop, zipped)
-		if asm.Plan(LayoutBAIJ) == nil {
-			panic("cold assembly after RebindPatched did not freeze a plan")
+		loop, zipped := planTestKernels(asm, asm.Workers())
+		mat := asm.NewMatrix(LayoutBAIJ)
+		if asm.plan == nil {
+			panic("NewMatrix after RebindPatched did not build a plan")
 		}
+		assembleOnce(asm, mat, LayoutBAIJ, loop, zipped)
 		s := 0.0
 		for _, v := range mat.Vals() {
 			s += v * v
 		}
 		if s == 0 || math.IsNaN(s) {
-			panic("cold assembly after RebindPatched produced a zero/NaN operator")
+			panic("assembly after RebindPatched produced a zero/NaN operator")
 		}
 	})
 }

@@ -13,272 +13,143 @@ type WorkerVecKernel func(w, e int, h float64, fe []float64)
 
 // WorkerZippedVecKernel fills the dof-major (zipped) elemental vector
 // fz[d*npe+a] for element e on shard w — the stage-2 DGEMV layout,
-// unzipped by the assembler before the constraint scatter.
+// unzipped by the assembler into the contribution store.
 type WorkerZippedVecKernel func(w, e int, h float64, fz []float64)
 
-// VecPlan freezes everything about vector assembly that depends only on
-// (mesh, ndof): the flat contribution store the element loop writes and
-// the per-node gather lists that sum it back in serial traversal order.
-// It is the vector counterpart of AssemblyPlan, built once per mesh
-// generation and invalidated with the matrix plans on an epoch bump.
-//
-// The two-phase structure is what makes the sharded loop reproducible:
-// every (element, corner, donor) contribution has its own store slot
-// (written by exactly one element, so element shards never contend), and
-// every node entry sums its slots in ascending slot order — exactly the
-// accumulation order of the serial AssembleVector scatter. The result is
-// therefore bitwise identical to the serial path at any worker count.
+// VecPlan is the vector counterpart of AssemblyPlan: the same gather-plan
+// shape, with one node-major elemental vector per element in the
+// contribution store and one gather target per local node, whose items are the (element,
+// corner, donor) contributions landing on it. It is built once per mesh
+// generation and dropped or rebuilt with the matrix plan.
 type VecPlan struct {
 	ndof int
-
-	// elemOff[e] is element e's first contribution slot; a contribution
-	// is one (corner, donor) pair carrying ndof values. Slots follow the
-	// serial traversal order (element, then corner, then donor).
-	elemOff []int32
-
-	// store holds one ndof-vector per contribution slot: the
-	// weight-scaled elemental values w_k * fe[c*ndof+d].
-	store []float64
-
-	// gatherOff/gatherSlot list node i's contribution slots
-	// (gatherSlot[gatherOff[i]:gatherOff[i+1]], ascending).
-	gatherOff  []int32
-	gatherSlot []int32
+	gatherPlan
 }
 
-// Entries returns the precomputed contribution count (diagnostics).
-func (p *VecPlan) Entries() int { return len(p.gatherSlot) }
-
-// buildVecPlan walks the constraint table exactly as ScatterAddElem does
-// and records every contribution's store slot plus the per-node gather
-// lists. Purely local: vector assembly routes off-process contributions
-// through the ghost segment, so no exchange structure is needed here.
-func (a *Assembler) buildVecPlan() *VecPlan {
+// buildVecPlan walks the constraint table exactly as the serial scatter
+// does and records the per-node gather lists, into old's allocations when
+// their capacity suffices (old may be nil). Purely local: vector assembly
+// routes off-process contributions through the ghost segment.
+func (a *Assembler) buildVecPlan(old *VecPlan) *VecPlan {
 	m := a.M
 	cpe := m.CornersPerElem()
+	nd := a.Ndof
 	nE := m.NumElems()
-	p := &VecPlan{ndof: a.Ndof}
-
-	// Pass 1: contribution counts per element and per node.
-	p.elemOff = make([]int32, nE+1)
-	counts := make([]int32, m.NumLocal+1)
-	total := 0
-	for e := 0; e < nE; e++ {
-		for c := 0; c < cpe; c++ {
-			con := &m.Conn[e*cpe+c]
-			total += int(con.N)
-			for k := 0; k < int(con.N); k++ {
-				counts[con.Idx[k]+1]++
-			}
+	p := &VecPlan{ndof: nd}
+	if old != nil {
+		p.gatherPlan = old.gatherPlan
+	}
+	p.reset(m.NumLocal)
+	for _, con := range m.Conn[:nE*cpe] {
+		for k := 0; k < int(con.N); k++ {
+			p.count(con.Idx[k])
 		}
-		p.elemOff[e+1] = int32(total)
 	}
-	p.store = make([]float64, total*a.Ndof)
-	p.gatherOff = counts
-	for i := 0; i < m.NumLocal; i++ {
-		p.gatherOff[i+1] += p.gatherOff[i]
-	}
-
-	// Pass 2: fill the gather lists. Slots are visited in ascending order,
-	// so each node's list comes out ascending — the serial scatter order.
-	p.gatherSlot = make([]int32, total)
-	fill := make([]int32, m.NumLocal)
-	copy(fill, p.gatherOff[:m.NumLocal])
-	slot := int32(0)
-	for e := 0; e < nE; e++ {
-		for c := 0; c < cpe; c++ {
-			con := &m.Conn[e*cpe+c]
-			for k := 0; k < int(con.N); k++ {
-				i := con.Idx[k]
-				p.gatherSlot[fill[i]] = slot
-				fill[i]++
-				slot++
-			}
+	p.seal()
+	for ec := range m.Conn[:nE*cpe] {
+		con := &m.Conn[ec]
+		for k := 0; k < int(con.N); k++ {
+			p.put(con.Idx[k], int32(ec*nd), con.W[k])
 		}
 	}
 	return p
 }
 
-// VecPlan returns the cached vector plan, or nil before the first planned
-// vector assembly (or after invalidation).
-func (a *Assembler) VecPlan() *VecPlan { return a.vplan }
-
-// SetVecWorkers overrides the shard count of planned vector assembly
-// (n <= 0 restores the default: the matrix element-loop worker count).
-// Unlike matrix shards, the vector shard count never changes results —
-// the plan's canonical gather order makes every count bitwise identical —
-// so this is purely a performance/ablation knob.
-func (a *Assembler) SetVecWorkers(n int) {
-	if n <= 0 {
-		n = 0
-	}
-	a.vecWorkers = n
-}
-
-// AssembleVectorPlanned is the warm-path counterpart of AssembleVector:
-// the element loop runs sharded over the assembler's workers (on the
-// pool when one is set), scattering into the plan's preallocated store,
-// and the per-node gather sums contributions in serial traversal order —
-// bitwise identical to AssembleVector at any worker count, with zero
-// steady-state allocation. On multiple ranks the ghost segment is
-// gathered first so its combining ghost write overlaps the owned-segment
-// gather. The first call builds the plan. Collective.
+// AssembleVectorPlanned accumulates elemental vectors into v (full local
+// layout) and pushes ghost contributions to their owners. The element
+// loop runs sharded over the assembler's workers (on the pool when one is
+// set), writing the contribution store, and the per-node gather sums the
+// contributions in serial traversal order — bitwise identical at any
+// worker count, with zero steady-state allocation. On multiple ranks the
+// ghost segment is gathered first so its combining ghost write overlaps
+// the owned-segment gather. The first call builds the plan. Collective.
 func (a *Assembler) AssembleVectorPlanned(v []float64, kern WorkerVecKernel) {
 	a.assembleVecPlanned(v, kern, nil)
 }
 
 // AssembleVectorZippedPlanned is AssembleVectorPlanned for zipped
-// (dof-major) kernels: each shard unzips into its private fe scratch
-// before the store scatter. Collective.
+// (dof-major) kernels: each shard unzips into the store. Collective.
 func (a *Assembler) AssembleVectorZippedPlanned(v []float64, kern WorkerZippedVecKernel) {
 	a.assembleVecPlanned(v, nil, kern)
 }
 
 func (a *Assembler) assembleVecPlanned(v []float64, kern WorkerVecKernel, zkern WorkerZippedVecKernel) {
 	if a.vplan == nil {
-		a.vplan = a.buildVecPlan()
+		a.vplan = a.buildVecPlan(nil)
 	}
 	m := a.M
-	n := m.NumElems()
-	// An explicit SetVecWorkers count is honored as-is (runVecPhase falls
-	// back to goroutine shards when the pool is smaller); the default
-	// follows the matrix element loop, clamped to the pool.
-	nw := a.vecWorkers
-	if nw == 0 {
-		nw = a.workers
-		if a.pool != nil && a.pool.Workers() < nw {
-			nw = a.pool.Workers()
-		}
-	}
-	if nw > n {
-		nw = n
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	a.ensureWorkers(nw)
+	nw := a.shards()
 	if a.vecElemFn == nil {
 		a.vecElemFn, a.vecGatherFn = a.runVecElemShard, a.runVecGatherShard
 	}
-	a.shVec, a.shVKern, a.shVZKern, a.shVN, a.shVNW = v, kern, zkern, n, nw
+	a.shVec, a.shVKern, a.shVZKern, a.shNW = v, kern, zkern, nw
+	a.shStore = a.fitStore(m.NumElems() * m.CornersPerElem() * a.Ndof)
 
 	a.runSharded(a.vecElemFn, nw)
 	if m.Comm.Size() > 1 {
 		// Gather the ghost segment first and push it while the owned
 		// segment — the bulk of the vector — is still being gathered.
-		a.shVLo, a.shVHi = m.NumOwned, m.NumLocal
+		a.shLo, a.shHi = m.NumOwned, m.NumLocal
 		a.runSharded(a.vecGatherFn, nw)
 		m.GhostWriteBegin(v, a.Ndof, 0)
-		a.shVLo, a.shVHi = 0, m.NumOwned
+		a.shLo, a.shHi = 0, m.NumOwned
 		a.runSharded(a.vecGatherFn, nw)
 		m.GhostWriteEnd(v, a.Ndof, mesh.Add)
 	} else {
-		a.shVLo, a.shVHi = 0, m.NumLocal
+		a.shLo, a.shHi = 0, m.NumLocal
 		a.runSharded(a.vecGatherFn, nw)
 	}
-	a.shVec, a.shVKern, a.shVZKern = nil, nil, nil
+	a.shVec, a.shVKern, a.shVZKern, a.shStore = nil, nil, nil, nil
 }
 
-// runSharded dispatches one prebuilt shard function across nw workers:
-// on the pool when it is large enough (allocation-free), otherwise on
-// transient goroutines, and directly on the caller when nw == 1. Both
-// the matrix and the vector assembly phases run through it.
-func (a *Assembler) runSharded(f func(w int), nw int) {
-	switch {
-	case nw == 1:
-		f(0)
-	case a.pool != nil && a.pool.Workers() >= nw:
-		a.pool.Run(f)
-	default:
-		done := make(chan struct{}, nw-1)
-		for w := 1; w < nw; w++ {
-			go func(w int) {
-				f(w)
-				done <- struct{}{}
-			}(w)
-		}
-		f(0)
-		for w := 1; w < nw; w++ {
-			<-done
-		}
-	}
-}
-
-// runVecElemShard runs the element loop over shard w's range, writing
-// each contribution's weight-scaled values into its private store slot.
+// runVecElemShard runs the element loop over shard w's range, each
+// element filling its own slice of the store.
 func (a *Assembler) runVecElemShard(w int) {
-	nw, n := a.shVNW, a.shVN
-	if w >= nw {
+	if w >= a.shNW {
 		return
 	}
-	lo, hi := par.Shard(w, nw, n)
 	m := a.M
-	plan := a.vplan
+	lo, hi := par.Shard(w, a.shNW, m.NumElems())
 	nd := a.Ndof
 	cpe := m.CornersPerElem()
-	ws := &a.ws[w]
-	fe := ws.fe
-	store := plan.store
-	idx := int(plan.elemOff[lo])
+	ne := cpe * nd
+	store := a.shStore
+	fz := a.ws[w].fz
 	for e := lo; e < hi; e++ {
+		fe := store[e*ne : (e+1)*ne : (e+1)*ne]
 		h := m.ElemSize(e)
 		if a.shVKern != nil {
-			for i := range fe {
-				fe[i] = 0
-			}
+			clear(fe)
 			a.shVKern(w, e, h, fe)
-		} else {
-			fz := ws.fz
-			for i := range fz {
-				fz[i] = 0
-			}
-			a.shVZKern(w, e, h, fz)
-			UnzipVec(nd, cpe, fz, fe)
+			continue
 		}
-		for c := 0; c < cpe; c++ {
-			con := &m.Conn[e*cpe+c]
-			for k := 0; k < int(con.N); k++ {
-				wgt := con.W[k]
-				dst := store[idx*nd : idx*nd+nd]
-				src := fe[c*nd : c*nd+nd]
-				if wgt == 1 {
-					copy(dst, src)
-				} else {
-					for d := range dst {
-						dst[d] = wgt * src[d]
-					}
-				}
-				idx++
-			}
-		}
+		clear(fz)
+		a.shVZKern(w, e, h, fz)
+		UnzipVec(nd, cpe, fz, fe)
 	}
 }
 
-// runVecGatherShard sums each node entry of shard w's [shVLo, shVHi)
-// node range from its store slots, in ascending slot order — the serial
-// accumulation order, so the result is independent of nw.
+// runVecGatherShard sums each node entry of shard w's part of the
+// [shLo, shHi) node range from its store items, in ascending traversal
+// order — the serial accumulation order, so the result is independent of
+// the shard count.
 func (a *Assembler) runVecGatherShard(w int) {
-	nw := a.shVNW
-	if w >= nw {
+	if w >= a.shNW {
 		return
 	}
-	lo, hi := par.Shard(w, nw, a.shVHi-a.shVLo)
-	lo += a.shVLo
-	hi += a.shVLo
-	plan := a.vplan
+	lo, hi := par.Shard(w, a.shNW, a.shHi-a.shLo)
+	p := a.vplan
 	nd := a.Ndof
 	v := a.shVec
-	store := plan.store
-	for i := lo; i < hi; i++ {
-		base := i * nd
-		for d := 0; d < nd; d++ {
-			v[base+d] = 0
-		}
-		for s := plan.gatherOff[i]; s < plan.gatherOff[i+1]; s++ {
-			src := store[int(plan.gatherSlot[s])*nd : int(plan.gatherSlot[s])*nd+nd]
-			for d := 0; d < nd; d++ {
-				v[base+d] += src[d]
+	for i := lo + a.shLo; i < hi+a.shLo; i++ {
+		var acc [4]float64
+		for k := p.off[i]; k < p.off[i+1]; k++ {
+			src := a.shStore[p.src[k] : int(p.src[k])+nd]
+			wk := p.wt[p.wi[k]]
+			for d, x := range src {
+				acc[d] += wk * x
 			}
 		}
+		copy(v[i*nd:i*nd+nd], acc[:nd])
 	}
 }

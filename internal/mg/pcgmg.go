@@ -99,6 +99,9 @@ type PCGMG struct {
 	cfg  Config
 	pool *par.Pool
 	lv   []*Level
+	// store is the first coarse-level assembler: levels assemble one at
+	// a time, so every level assembler shares its contribution store.
+	store *fem.Assembler
 	// rowsKept/rowsRebuilt accumulate, across Rebind-pended smoother
 	// refreshes, how many owned ILU(0) rows carried their factorization
 	// index vs re-resolved it (TakeRebindStats drains them).
@@ -107,8 +110,8 @@ type PCGMG struct {
 
 // NewPCGMG builds the per-level state over an existing hierarchy. pool
 // (may be nil) is attached to the level operators for sharded SpMV; level
-// assembly itself is pinned serial for reproducibility. Collective (level
-// mesh vector setup only — no communication).
+// assembly runs on one shard because the level kernels keep a single
+// scratch. Collective (level mesh vector setup only — no communication).
 func NewPCGMG(h *Hierarchy, pool *par.Pool, cfg Config) *PCGMG {
 	cfg.defaults()
 	p := &PCGMG{h: h, cfg: cfg, pool: pool}
@@ -131,6 +134,11 @@ func (p *PCGMG) newLevel(l int, m *mesh.Mesh) *Level {
 		}
 	} else {
 		lvl.Asm = fem.NewAssembler(m, cfg.Ndof)
+		if p.store == nil {
+			p.store = lvl.Asm
+		} else {
+			lvl.Asm.ShareStore(p.store)
+		}
 		lvl.Asm.SetWorkers(1)
 		if p.pool != nil {
 			lvl.Asm.SetPool(p.pool)
@@ -319,8 +327,6 @@ func (p *PCGMG) Refresh() {
 		lvl := p.lv[l]
 		if lvl.Mat == nil {
 			lvl.Mat = lvl.Asm.NewMatrix(fem.LayoutAIJ)
-		} else {
-			lvl.Mat.Zero()
 		}
 		p.cfg.Assemble(lvl)
 		p.refreshSmoother(lvl)
