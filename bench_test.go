@@ -545,6 +545,92 @@ func benchSpMV(b *testing.B, workers int) {
 func BenchmarkSpMV_Serial(b *testing.B)  { benchSpMV(b, 1) }
 func BenchmarkSpMV_Sharded(b *testing.B) { benchSpMV(b, 0+runtimeWorkers()) }
 
+// ---------------------------------------------------------------------------
+// Kernel rows: one rank's SpMV and ILU(0) apply at the bench preset's
+// per-rank shape — a 30 x 30 node grid (900 block rows) with the 9-point
+// Q1 stencil, serial. b.SetBytes is each kernel's compulsory traffic, so
+// the MB/s column compares against a STREAM-style bandwidth ceiling: SpMV
+// reads the values, column indices, row pointers and x once and writes y
+// once; the ILU(0) apply reads the factor, its column indices, row
+// pointers and diagonal slots and r once and writes z once.
+// ---------------------------------------------------------------------------
+
+// stencilSystem is the 9-point-stencil block matrix on a side x side node
+// grid, diagonally dominant.
+func stencilSystem(side, bs int) *la.BSRMat {
+	n := side * side
+	m := la.NewBAIJ(nil, bs, n, n)
+	blk := make([]float64, bs*bs)
+	for i := 0; i < side; i++ {
+		for j := 0; j < side; j++ {
+			for di := -1; di <= 1; di++ {
+				for dj := -1; dj <= 1; dj++ {
+					ii, jj := i+di, j+dj
+					if ii < 0 || ii >= side || jj < 0 || jj >= side {
+						continue
+					}
+					for k := range blk {
+						blk[k] = -0.05 * float64(k%3+1)
+					}
+					for d := 0; d < bs; d++ {
+						if di == 0 && dj == 0 {
+							blk[d*bs+d] = 10
+						} else {
+							blk[d*bs+d] = -1
+						}
+					}
+					m.AddBlock(i*side+j, ii*side+jj, blk)
+				}
+			}
+		}
+	}
+	m.Finalize()
+	return m
+}
+
+const kernelSide = 30
+
+func benchSpMVBs(b *testing.B, bs int) {
+	m := stencilSystem(kernelSide, bs)
+	rows, nnz := m.Rows(), m.NNZBlocks()
+	x := make([]float64, rows)
+	y := make([]float64, rows)
+	for i := range x {
+		x[i] = float64(i%23) - 11
+	}
+	b.SetBytes(int64(nnz*bs*bs*8 + nnz*4 + (m.NRowNodes+1)*4 + 2*rows*8))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Apply(x, y)
+	}
+	b.ReportMetric(float64(nnz)/float64(m.NRowNodes), "blocks/row")
+}
+
+func BenchmarkSpMV_Bs1(b *testing.B) { benchSpMVBs(b, 1) }
+func BenchmarkSpMV_Bs2(b *testing.B) { benchSpMVBs(b, 2) }
+func BenchmarkSpMV_Bs3(b *testing.B) { benchSpMVBs(b, 3) }
+
+func benchILU0Apply(b *testing.B, bs int) {
+	m := stencilSystem(kernelSide, bs)
+	pc := la.NewPCBJacobiILU0(m)
+	rows, nnz := m.Rows(), m.NNZBlocks()*bs*bs
+	r := make([]float64, rows)
+	z := make([]float64, rows)
+	for i := range r {
+		r[i] = float64(i%19) - 9
+	}
+	b.SetBytes(int64(nnz*8 + nnz*4 + (rows+1)*4 + rows*4 + 2*rows*8))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pc.Apply(r, z)
+	}
+}
+
+func BenchmarkILU0Apply_Bs1(b *testing.B) { benchILU0Apply(b, 1) }
+func BenchmarkILU0Apply_Bs2(b *testing.B) { benchILU0Apply(b, 2) }
+
 func runtimeWorkers() int { return runtime.GOMAXPROCS(0) }
 
 func benchKSPWarm(b *testing.B, method la.Method, workers int) {

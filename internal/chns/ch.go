@@ -12,27 +12,61 @@ import (
 // chOps holds the elemental operator blocks the CH residual and Jacobian
 // are combined from (all NPE x NPE scalar blocks), plus the nodal/Gauss
 // coefficient scratch used to build them, so the element loop allocates
-// nothing.
+// nothing once every element size has been seen.
 type chOps struct {
-	Me  []float64 // mass
-	Ke  []float64 // stiffness
+	Me  []float64 // mass (read-only: a geom entry's block)
+	Ke  []float64 // stiffness (read-only: a geom entry's block)
 	Kme []float64 // mobility-weighted stiffness
 	Ce  []float64 // convection with the current velocity
-	Mpp []float64 // ψ''(φ)-weighted mass
+	Mpp []float64 // ψ''(φ)-weighted mass (Jacobian only)
 
 	mob, psi2  []float64 // nodal mobility and ψ''
 	mobG, psiG []float64 // the same at Gauss points
+
+	// geom memoizes the geometry-only blocks per element size: a mesh
+	// has one size per refinement level, so this stays a few entries.
+	geom []geomBlocks
+}
+
+// geomBlocks is the mass and stiffness block of one element size h.
+type geomBlocks struct {
+	h      float64
+	me, ke []float64
 }
 
 func newCHOps(npe, ng int) *chOps {
 	n := npe * npe
 	return &chOps{
-		Me: make([]float64, n), Ke: make([]float64, n),
 		Kme: make([]float64, n), Ce: make([]float64, n),
 		Mpp: make([]float64, n),
 		mob: make([]float64, npe), psi2: make([]float64, npe),
 		mobG: make([]float64, ng), psiG: make([]float64, ng),
 	}
+}
+
+// geometry returns the mass and stiffness blocks of an element of size h,
+// computing them on the first request for that size with the GEMM
+// (zipped) or the explicit-loop kernels. The memoized blocks come from
+// the same kernel call a fresh computation makes, so they are bitwise the
+// blocks it would return. The layout is fixed for a Solver's life, so h
+// alone keys the memo.
+func (o *chOps) geometry(r *fem.Ref, zipped bool, wk *fem.GemmWork, h float64) (me, ke []float64) {
+	for i := range o.geom {
+		if g := &o.geom[i]; g.h == h {
+			return g.me, g.ke
+		}
+	}
+	n := r.NPE * r.NPE
+	g := geomBlocks{h: h, me: make([]float64, n), ke: make([]float64, n)}
+	if zipped {
+		r.MassGemm(wk, h, 1, nil, g.me)
+		r.StiffGemm(wk, h, 1, nil, g.ke)
+	} else {
+		r.Mass(h, 1, g.me)
+		r.Stiffness(h, 1, g.ke)
+	}
+	o.geom = append(o.geom, g)
+	return g.me, g.ke
 }
 
 // chScratch is one element-loop worker's private CH Jacobian scratch.
@@ -78,14 +112,6 @@ func newCHScratch(npe, ng, dim int) chScratch {
 	return sc
 }
 
-func (o *chOps) zero() {
-	for _, b := range [][]float64{o.Me, o.Ke, o.Kme, o.Ce, o.Mpp} {
-		for i := range b {
-			b[i] = 0
-		}
-	}
-}
-
 // chProblem is the Newton problem for the fully implicit CH block.
 type chProblem struct {
 	s     *Solver
@@ -94,35 +120,47 @@ type chProblem struct {
 	theta float64
 }
 
-// buildOps assembles the elemental blocks for element e, with the
-// mobility and ψ” coefficients evaluated at the corner values phiC.
-// Uses the explicit-loop operators or the zipped GEMM operators depending
-// on the configured layout (Table I stage 2). wk is the invoking worker's
-// GEMM scratch, so concurrent shards never share buffers.
-func (p *chProblem) buildOps(e int, h float64, phiC, velC []float64, ops *chOps, wk *fem.GemmWork) {
+// buildOps fills the elemental blocks for element e, with the mobility
+// (and, for the Jacobian, ψ”) coefficients evaluated at the corner
+// values phiC. Uses the explicit-loop operators or the zipped GEMM
+// operators depending on the configured layout (Table I stage 2). Me and
+// Ke come from the per-size memo; Mpp is built only when jac is set, as
+// the residual never reads it. wk is the invoking worker's GEMM scratch,
+// so concurrent shards never share buffers.
+func (p *chProblem) buildOps(e int, h float64, phiC, velC []float64, ops *chOps, wk *fem.GemmWork, jac bool) {
 	s := p.s
 	r := s.asmCH.Ref
 	npe := r.NPE
-	ops.zero()
+	zipped := s.Opt.Layout == fem.LayoutZipped
+	ops.Me, ops.Ke = ops.geometry(r, zipped, wk, h)
 	for a := 0; a < npe; a++ {
 		ops.mob[a] = s.Par.Mobility(phiC[a*2])
-		ops.psi2[a] = PsiDoublePrime(phiC[a*2])
 	}
-	if s.Opt.Layout == fem.LayoutZipped {
+	if jac {
+		for a := 0; a < npe; a++ {
+			ops.psi2[a] = PsiDoublePrime(phiC[a*2])
+		}
+	}
+	if zipped {
+		// The GEMM kernels overwrite their output block.
 		r.CoefAtGauss(ops.mob, ops.mobG)
-		r.CoefAtGauss(ops.psi2, ops.psiG)
-		r.MassGemm(wk, h, 1, nil, ops.Me)
-		r.StiffGemm(wk, h, 1, nil, ops.Ke)
 		r.StiffGemm(wk, h, 1, ops.mobG, ops.Kme)
 		r.ConvGemm(wk, h, 1, velC, ops.Ce)
-		r.MassGemm(wk, h, 1, ops.psiG, ops.Mpp)
+		if jac {
+			r.CoefAtGauss(ops.psi2, ops.psiG)
+			r.MassGemm(wk, h, 1, ops.psiG, ops.Mpp)
+		}
 		return
 	}
-	r.Mass(h, 1, ops.Me)
-	r.Stiffness(h, 1, ops.Ke)
+	// The explicit-loop kernels accumulate into their output block.
+	clear(ops.Kme)
+	clear(ops.Ce)
 	r.WeightedStiffness(h, ops.mob, 1, ops.Kme)
 	r.Convection(h, velC, 1, ops.Ce)
-	r.WeightedMass(h, ops.psi2, 1, ops.Mpp)
+	if jac {
+		clear(ops.Mpp)
+		r.WeightedMass(h, ops.psi2, 1, ops.Mpp)
+	}
 }
 
 // gatherCorners extracts φ,μ and velocity corner values for element e.
@@ -163,7 +201,7 @@ func (s *Solver) initCHKernels() {
 			sc.muOld[a] = sc.pmOld[a*2+1]
 			sc.psi1[a] = PsiPrime(sc.phiNew[a])
 		}
-		p.buildOps(e, h, sc.pm, sc.vel, ops, s.asmCH.WorkN(w))
+		p.buildOps(e, h, sc.pm, sc.vel, ops, s.asmCH.WorkN(w), false)
 		cn := s.ElemCn[e]
 		diff := 1 / (s.Par.Pe * cn)
 		th, th1 := p.theta, 1-p.theta
@@ -192,7 +230,7 @@ func (s *Solver) initCHKernels() {
 		sc := &s.chScr[w]
 		m.GatherElem(e, s.kCHx, 2, sc.pm)
 		m.GatherElem(e, s.Vel, m.Dim, sc.vel)
-		p.buildOps(e, h, sc.pm, sc.vel, sc.ops, s.asmCH.WorkN(w))
+		p.buildOps(e, h, sc.pm, sc.vel, sc.ops, s.asmCH.WorkN(w), true)
 		ops := sc.ops
 		cn := s.ElemCn[e]
 		diff := 1 / (s.Par.Pe * cn)
@@ -297,8 +335,11 @@ func (s *Solver) StepCH(velOverride []float64) (StageReport, error) {
 		NewtonIterations: nw.Iterations, NewtonConverged: ok}
 	st := &s.T.CH
 	// One record per step: the Newton driver aggregates its inner Krylov
-	// iterations, so min/mean/max track per-step linear work.
+	// iterations, so min/mean/max track per-step linear work. Its inner
+	// Krylov wall-clock is the stage's Solve share.
 	st.Record(nw.LinearIterations)
+	st.NewtonIterations += nw.Iterations
+	st.Solve += nw.LinearSolveTime
 	if s.postRemesh {
 		s.T.RemeshStages.PostCHIters += nw.LinearIterations
 	}

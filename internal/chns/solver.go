@@ -29,6 +29,9 @@ type StageTimes struct {
 	Solves int
 	ItMin  int
 	ItMax  int
+	// NewtonIterations sums the stage's Newton iterations (CH only; every
+	// attempt counts, diverged ones included).
+	NewtonIterations int
 }
 
 // Record accumulates one linear solve's iteration count into the
@@ -61,6 +64,7 @@ func (t *StageTimes) Add(o StageTimes) {
 	t.PCSetup += o.PCSetup
 	t.PCSetupCold += o.PCSetupCold
 	t.Iterations += o.Iterations
+	t.NewtonIterations += o.NewtonIterations
 	if o.Solves > 0 {
 		if t.Solves == 0 || o.ItMin < t.ItMin {
 			t.ItMin = o.ItMin

@@ -358,8 +358,102 @@ func (m *BSRMat) applyShard(w int) {
 }
 
 // applySpan multiplies rows[lo:hi] (or block rows [lo, hi) when rows is
-// nil) of A into y.
+// nil) of A into y, through a loop specialized to the block size when
+// there is one. Every specialization adds each row's terms in exactly
+// applyGeneric's order, one `s += v*x` statement per term (never a
+// combined sum, which would round differently), so the product is
+// bitwise the same whichever loop runs.
 func (m *BSRMat) applySpan(x, y []float64, rows []int32, lo, hi int) {
+	switch m.Bs {
+	case 1:
+		m.apply1(x, y, rows, lo, hi)
+	case 2:
+		m.apply2(x, y, rows, lo, hi)
+	case 3:
+		m.apply3(x, y, rows, lo, hi)
+	default:
+		m.applyGeneric(x, y, rows, lo, hi)
+	}
+}
+
+// apply1 is applySpan for scalar (AIJ) matrices.
+func (m *BSRMat) apply1(x, y []float64, rows []int32, lo, hi int) {
+	indptr, cols, vals := m.sp.Indptr, m.sp.Cols, m.vals
+	for i := lo; i < hi; i++ {
+		r := i
+		if rows != nil {
+			r = int(rows[i])
+		}
+		p0, p1 := indptr[r], indptr[r+1]
+		cs, vs := cols[p0:p1], vals[p0:p1]
+		var s float64
+		for j, c := range cs {
+			s += vs[j] * x[c]
+		}
+		y[r] = s
+	}
+}
+
+// apply2 is applySpan for 2x2 blocks (the CH φ,μ and 2D velocity
+// matrices).
+func (m *BSRMat) apply2(x, y []float64, rows []int32, lo, hi int) {
+	indptr, cols, vals := m.sp.Indptr, m.sp.Cols, m.vals
+	for i := lo; i < hi; i++ {
+		r := i
+		if rows != nil {
+			r = int(rows[i])
+		}
+		p0, p1 := int(indptr[r]), int(indptr[r+1])
+		cs, vs := cols[p0:p1], vals[4*p0:4*p1]
+		var a0, a1 float64
+		for j, cn := range cs {
+			c := 2 * int(cn)
+			xs := x[c : c+2 : c+2]
+			b := vs[4*j : 4*j+4 : 4*j+4]
+			a0 += b[0] * xs[0]
+			a0 += b[1] * xs[1]
+			a1 += b[2] * xs[0]
+			a1 += b[3] * xs[1]
+		}
+		y[2*r] = a0
+		y[2*r+1] = a1
+	}
+}
+
+// apply3 is applySpan for 3x3 blocks (the 3D velocity matrices).
+func (m *BSRMat) apply3(x, y []float64, rows []int32, lo, hi int) {
+	indptr, cols, vals := m.sp.Indptr, m.sp.Cols, m.vals
+	for i := lo; i < hi; i++ {
+		r := i
+		if rows != nil {
+			r = int(rows[i])
+		}
+		p0, p1 := int(indptr[r]), int(indptr[r+1])
+		cs, vs := cols[p0:p1], vals[9*p0:9*p1]
+		var a0, a1, a2 float64
+		for j, cn := range cs {
+			c := 3 * int(cn)
+			xs := x[c : c+3 : c+3]
+			b := vs[9*j : 9*j+9 : 9*j+9]
+			a0 += b[0] * xs[0]
+			a0 += b[1] * xs[1]
+			a0 += b[2] * xs[2]
+			a1 += b[3] * xs[0]
+			a1 += b[4] * xs[1]
+			a1 += b[5] * xs[2]
+			a2 += b[6] * xs[0]
+			a2 += b[7] * xs[1]
+			a2 += b[8] * xs[2]
+		}
+		y[3*r] = a0
+		y[3*r+1] = a1
+		y[3*r+2] = a2
+	}
+}
+
+// applyGeneric is applySpan for any block size: the path for bs 4..8 and
+// the reference the specialized loops are tested against.
+func (m *BSRMat) applyGeneric(x, y []float64, rows []int32, lo, hi int) {
 	bs := m.Bs
 	bs2 := bs * bs
 	for i := lo; i < hi; i++ {

@@ -2,6 +2,7 @@ package la
 
 import (
 	"math"
+	"time"
 
 	"proteus/internal/par"
 )
@@ -30,11 +31,14 @@ type Newton struct {
 	// Pool shards the inner solver's kernels (see KSP.Pool).
 	Pool *par.Pool
 
-	// Iterations and LinearIterations report the last solve's work;
-	// Last is the most recent inner Krylov result, kept so a caller can
-	// attach linear-solver detail to a nonlinear failure report.
+	// Iterations and LinearIterations report the last solve's work, and
+	// LinearSolveTime the summed Result.SolveTime of its inner Krylov
+	// solves; Last is the most recent inner Krylov result, kept so a
+	// caller can attach linear-solver detail to a nonlinear failure
+	// report.
 	Iterations       int
 	LinearIterations int
+	LinearSolveTime  time.Duration
 	Last             Result
 
 	ksp                *KSP
@@ -67,7 +71,7 @@ func (nw *Newton) Solve(p NewtonProblem, x []float64) (bool, error) {
 	if nw.KSP == "" {
 		nw.KSP = BiCGS
 	}
-	nw.Iterations, nw.LinearIterations = 0, 0
+	nw.Iterations, nw.LinearIterations, nw.LinearSolveTime = 0, 0, 0
 	nw.Last = Result{}
 
 	op, pc := p.Jacobian(x)
@@ -110,6 +114,7 @@ func (nw *Newton) Solve(p NewtonProblem, x []float64) (bool, error) {
 		}
 		nw.Last = res
 		nw.LinearIterations += res.Iterations
+		nw.LinearSolveTime += res.SolveTime
 		// Backtracking line search.
 		lambda := 1.0
 		ok := false

@@ -263,18 +263,7 @@ func (p *PCBJacobiILU0) RebindPatched(m *BSRMat, patch *RowPatch) (kept, rebuilt
 		clean[r] = or >= 0 && !patch.Dirty[r] &&
 			indptr[r+1]-indptr[r] == oldIndptr[or+1]-oldIndptr[or]
 	}
-	for r := 0; r < n; r++ {
-		p.diag[r] = -1
-		for j := indptr[r]; j < indptr[r+1]; j++ {
-			if int(cols[j]) == r {
-				p.diag[r] = j
-				break
-			}
-		}
-		if p.diag[r] < 0 {
-			panic(fmt.Sprintf("la: missing diagonal in row %d", r))
-		}
-	}
+	p.indexDiag()
 	updOff := make([]int32, len(cols)+1)
 	updSrc := make([]int32, 0, len(oldUpdSrc))
 	updDst := make([]int32, 0, len(oldUpdDst))
@@ -339,18 +328,11 @@ func (p *PCBJacobiILU0) RebindPatched(m *BSRMat, patch *RowPatch) (kept, rebuilt
 // transient hash map so factor itself is a pure array sweep.
 func (p *PCBJacobiILU0) buildIndex() {
 	n := p.n
+	p.indexDiag()
 	colPos := make(map[int64]int32, len(p.cols))
 	for r := 0; r < n; r++ {
 		for j := p.indptr[r]; j < p.indptr[r+1]; j++ {
 			colPos[int64(r)<<32|int64(p.cols[j])] = j
-			if int(p.cols[j]) == r {
-				p.diag[r] = j
-			}
-		}
-	}
-	for r := 0; r < n; r++ {
-		if int(p.cols[p.diag[r]]) != r {
-			panic(fmt.Sprintf("la: missing diagonal in row %d", r))
 		}
 	}
 	p.updOff = make([]int32, len(p.cols)+1)
@@ -372,14 +354,32 @@ func (p *PCBJacobiILU0) buildIndex() {
 	}
 }
 
+// indexDiag records each row's diagonal slot. It panics on a row without
+// a diagonal or whose columns are not strictly ascending: factor, Apply
+// and RebindPatched's merge all read a row's strictly lower part as the
+// slots before its diagonal.
+func (p *PCBJacobiILU0) indexDiag() {
+	for r := 0; r < p.n; r++ {
+		p.diag[r] = -1
+		for j := p.indptr[r]; j < p.indptr[r+1]; j++ {
+			if j > p.indptr[r] && p.cols[j] <= p.cols[j-1] {
+				panic(fmt.Sprintf("la: columns of row %d are not sorted", r))
+			}
+			if int(p.cols[j]) == r {
+				p.diag[r] = j
+			}
+		}
+		if p.diag[r] < 0 {
+			panic(fmt.Sprintf("la: missing diagonal in row %d", r))
+		}
+	}
+}
+
 func (p *PCBJacobiILU0) factor() {
 	n := p.n
 	for r := 0; r < n; r++ {
-		for j := p.indptr[r]; j < p.indptr[r+1]; j++ {
+		for j := p.indptr[r]; j < p.diag[r]; j++ {
 			k := int(p.cols[j])
-			if k >= r {
-				break
-			}
 			dk := p.lu[p.diag[k]]
 			if dk == 0 {
 				continue
@@ -396,31 +396,32 @@ func (p *PCBJacobiILU0) factor() {
 }
 
 // Apply performs the forward/backward ILU(0) triangular solves on the
-// local block. Implements PC.
+// local block. Row columns are sorted (indexDiag checks), so row i's
+// strictly lower part is [indptr[i], diag[i]) and its strictly upper part
+// (diag[i], indptr[i+1]); every column is owned, since LocalCSR drops the
+// ghost ones. Implements PC.
 func (p *PCBJacobiILU0) Apply(r, z []float64) {
 	n := p.n
+	indptr, cols, lu, diag := p.indptr, p.cols, p.lu, p.diag
 	// Forward: L y = r (unit diagonal L).
 	for i := 0; i < n; i++ {
 		s := r[i]
-		for j := p.indptr[i]; j < p.indptr[i+1]; j++ {
-			c := int(p.cols[j])
-			if c >= i {
-				break
-			}
-			s -= p.lu[j] * z[c]
+		p0, p1 := indptr[i], diag[i]
+		ls := lu[p0:p1]
+		for j, c := range cols[p0:p1] {
+			s -= ls[j] * z[c]
 		}
 		z[i] = s
 	}
 	// Backward: U z = y.
 	for i := n - 1; i >= 0; i-- {
 		s := z[i]
-		for j := p.diag[i] + 1; j < p.indptr[i+1]; j++ {
-			c := int(p.cols[j])
-			if c < n {
-				s -= p.lu[j] * z[c]
-			}
+		p0, p1 := diag[i]+1, indptr[i+1]
+		us := lu[p0:p1]
+		for j, c := range cols[p0:p1] {
+			s -= us[j] * z[c]
 		}
-		d := p.lu[p.diag[i]]
+		d := lu[diag[i]]
 		if d == 0 {
 			d = 1
 		}
